@@ -1,7 +1,7 @@
 """Exact nilpotence decisions for circulant step-sum matrices, with oracles."""
 
 from .circring import CirculantElem, geom_sum, shift_power
-from .congruence import Lemma1Instance, count_closed_form, count_enumerate, count_recursive, validate
+from .congruence import Lemma1Instance, count_closed_form, count_recursive, validate
 from .errors import (
     BudgetExceeded,
     CoprimalityViolated,
@@ -51,7 +51,6 @@ __all__ = [
     "ZmVerdict",
     "ZpVerdict",
     "count_closed_form",
-    "count_enumerate",
     "count_recursive",
     "decide_zm",
     "decide_zm_via_primes",

@@ -52,14 +52,6 @@ def _check_match(a: CirculantElem, b: CirculantElem) -> None:
 # constructors
 
 
-def from_coeffs(n: int, q: int, coeffs) -> CirculantElem:
-    """Build an element from arbitrary integers, reducing each mod q."""
-    if q < 2:
-        raise InvalidInput(f"modulus must be >= 2, got {q}")
-    reduced = tuple(c % q for c in coeffs)
-    return CirculantElem(n, q, reduced)
-
-
 def zero(n: int, q: int) -> CirculantElem:
     return CirculantElem(n, q, (0,) * n)
 
@@ -155,11 +147,6 @@ def power(a: CirculantElem, k: int) -> CirculantElem:
 
 def is_zero(a: CirculantElem) -> bool:
     return all(c == 0 for c in a.coeffs)
-
-
-def row_sum(a: CirculantElem) -> int:
-    """Coefficient sum mod q: the eigenvalue on the all-ones vector."""
-    return sum(a.coeffs) % a.modulus
 
 
 def to_dense(a: CirculantElem, bound: int = DENSE_BOUND) -> list[list[int]]:

@@ -15,11 +15,10 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import circring, congruence, nilpotence, oracle
-from .errors import InputError, InvalidPrime
+from .errors import BudgetExceeded, InputError, InvalidPrime
 from .numutil import is_prime
 
 EXIT_OK = 0
@@ -28,108 +27,81 @@ EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 
 
-@dataclass
-class ScanReport:
-    parameters: dict
-    cells: list[dict]
-    summary: dict = field(default_factory=dict)
-
-    def finish(self) -> None:
-        nilpotent = sum(1 for c in self.cells if c["nilpotent"])
-        disagreements = [
-            {"n": c["n"], "m": c["m"]} for c in self.cells if c.get("agree") is False
-        ]
-        self.summary = {
-            "cells": len(self.cells),
-            "nilpotent": nilpotent,
-            "disagreements": disagreements,
-        }
-        if self.parameters["verify"]:
-            self.summary["agreements"] = sum(
-                1 for c in self.cells if c.get("agree") is True
-            )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "parameters": self.parameters,
-            "cells": self.cells,
-            "summary": self.summary,
-        }
+# CSV columns of each scan mode, fixed by the documented headers.
+_CSV_COLUMNS = {
+    "zp": ("n", "m", "nilpotent", "index", "agree"),
+    "zm": ("n", "m", "nilpotent", "clause", "oracle_index", "agree"),
+}
 
 
 # ---------------------------------------------------------------------------
-# scan cell workers (top level so a process pool can pickle them)
+# scan cells (the worker is top level so a process pool can pickle it)
 
 
-def _eval_zp_cell(task) -> dict:
+def _eval_cell(task) -> dict:
+    """One grid cell; p is None over Z_m."""
     n, m, p, verify = task
-    verdict = nilpotence.decide_zp(n, m, p)
-    cell = {"n": n, "m": m, "nilpotent": verdict.nilpotent, "index": verdict.index}
+    if p is None:
+        v = nilpotence.decide_zm(n, m)
+        cell = {"n": n, "m": m, "nilpotent": v.nilpotent, "clause": v.clause.value}
+    else:
+        v = nilpotence.decide_zp(n, m, p)
+        cell = {"n": n, "m": m, "nilpotent": v.nilpotent, "index": v.index}
     if verify:
-        report = oracle.verify_theorem1(n, m, p)
+        if p is None:
+            report = oracle.verify_corollary1(n, m)
+        else:
+            report = oracle.verify_theorem1(n, m, p)
         cell["oracle_index"] = report.oracle_index
         cell["agree"] = report.agree
     return cell
 
 
-def _eval_zm_cell(task) -> dict:
-    n, m, verify = task
-    verdict = nilpotence.decide_zm(n, m)
-    cell = {
-        "n": n,
-        "m": m,
-        "nilpotent": verdict.nilpotent,
-        "clause": verdict.clause.value,
-    }
-    if verify:
-        report = oracle.verify_corollary1(n, m)
-        cell["oracle_index"] = report.oracle_index
-        cell["agree"] = report.agree
-    return cell
-
-
-def _run_cells(worker, tasks: list, jobs: int) -> list[dict]:
+def _run_cells(tasks: list, jobs: int) -> list[dict]:
+    """Evaluate the cells in task order."""
     if jobs > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks, chunksize=chunk))
-    return [worker(t) for t in tasks]
+            return list(pool.map(_eval_cell, tasks, chunksize=chunk))
+    return [_eval_cell(t) for t in tasks]
+
+
+def _summarize(cells: list[dict], verify: bool) -> dict:
+    summary = {
+        "cells": len(cells),
+        "nilpotent": sum(1 for c in cells if c["nilpotent"]),
+        "disagreements": [
+            {"n": c["n"], "m": c["m"]} for c in cells if c.get("agree") is False
+        ],
+    }
+    if verify:
+        summary["agreements"] = sum(1 for c in cells if c.get("agree") is True)
+    return summary
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _bool_str(v) -> str:
-    return "" if v is None else ("true" if v else "false")
+def _csv_value(v):
+    """Booleans lowercase, absent values empty."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return v
 
 
-def _opt_str(v) -> str:
-    return "" if v is None else str(v)
-
-
-def _render_csv(report: ScanReport, zm: bool) -> str:
+def _render_csv(cells: list[dict], columns: tuple[str, ...]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if zm:
-        writer.writerow(["n", "m", "nilpotent", "clause", "oracle_index", "agree"])
-        for c in report.cells:
-            writer.writerow([
-                c["n"], c["m"], _bool_str(c["nilpotent"]), c["clause"],
-                _opt_str(c.get("oracle_index")), _bool_str(c.get("agree")),
-            ])
-    else:
-        writer.writerow(["n", "m", "nilpotent", "index", "agree"])
-        for c in report.cells:
-            writer.writerow([
-                c["n"], c["m"], _bool_str(c["nilpotent"]),
-                _opt_str(c.get("index")), _bool_str(c.get("agree")),
-            ])
+    writer.writerow(columns)
+    for c in cells:
+        writer.writerow([_csv_value(c.get(k)) for k in columns])
     return out.getvalue()
 
 
-def _render_scan_human(report: ScanReport) -> str:
-    par = report.parameters
+def _render_scan_human(par: dict, s: dict) -> str:
     mode = par["mode"]
     head = f"scan mode={mode}"
     if mode == "zp":
@@ -139,9 +111,7 @@ def _render_scan_human(report: ScanReport) -> str:
         f" m=[{par['m_range'][0]},{par['m_range'][1]}]"
         f" verify={'yes' if par['verify'] else 'no'}"
     )
-    lines = [head]
-    s = report.summary
-    lines.append(f"cells {s['cells']}, nilpotent {s['nilpotent']}")
+    lines = [head, f"cells {s['cells']}, nilpotent {s['nilpotent']}"]
     if par["verify"]:
         lines.append(
             f"agreements {s['agreements']}, disagreements {len(s['disagreements'])}"
@@ -203,46 +173,39 @@ def cmd_decide(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    zm = args.zm
-    n_lo, m_lo = 1, (2 if zm else 1)
+    mode = "zm" if args.zm else "zp"
+    m_lo = 2 if args.zm else 1
     parameters = {
-        "mode": "zm" if zm else "zp",
-        "n_range": [n_lo, args.n_max],
+        "mode": mode,
+        "n_range": [1, args.n_max],
         "m_range": [m_lo, args.m_max],
         "verify": args.verify,
     }
-    if not zm:
-        parameters["p"] = args.p
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if zm:
-        tasks = [
-            (n, m, args.verify)
-            for n in range(n_lo, args.n_max + 1)
-            for m in range(m_lo, args.m_max + 1)
-        ]
-        cells = _run_cells(_eval_zm_cell, tasks, jobs)
-    else:
+    p = None
+    if not args.zm:
         if not is_prime(args.p):
             raise InvalidPrime(f"{args.p} is not prime")
-        tasks = [
-            (n, m, args.p, args.verify)
-            for n in range(n_lo, args.n_max + 1)
-            for m in range(m_lo, args.m_max + 1)
-        ]
-        cells = _run_cells(_eval_zp_cell, tasks, jobs)
-    cells.sort(key=lambda c: (c["n"], c["m"]))
-    report = ScanReport(parameters, cells)
-    report.finish()
+        p = parameters["p"] = args.p
+    tasks = [
+        (n, m, p, args.verify)
+        for n in range(1, args.n_max + 1)
+        for m in range(m_lo, args.m_max + 1)
+    ]
+    # Only the oracle is worth a process pool: a closed-form cell costs a few
+    # microseconds, less than shipping it to a worker and back.
+    jobs = (args.jobs or os.cpu_count() or 1) if args.verify else 1
+    cells = _run_cells(tasks, jobs)
+    summary = _summarize(cells, args.verify)
 
     if args.format == "csv":
-        _emit(_render_csv(report, zm), args.out)
+        text = _render_csv(cells, _CSV_COLUMNS[mode])
     elif args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+        report = {"parameters": parameters, "cells": cells, "summary": summary}
+        text = json.dumps(report, indent=2) + "\n"
     else:
-        _emit(_render_scan_human(report), args.out)
-    if args.verify and report.summary["disagreements"]:
-        return EXIT_DISAGREE
-    return EXIT_OK
+        text = _render_scan_human(parameters, summary)
+    _emit(text, args.out)
+    return EXIT_DISAGREE if summary["disagreements"] else EXIT_OK
 
 
 def cmd_lemma1(args) -> int:
@@ -250,7 +213,14 @@ def cmd_lemma1(args) -> int:
         args.d, args.m_star, args.n_star, args.q, c=(args.c if args.c is not None else 0)
     )
     closed = congruence.count_closed_form(inst)
-    targets = [inst.c] if args.c is not None else list(range(inst.n))
+    if args.c is not None:
+        targets = (inst.c,)
+    elif inst.n > congruence.ENUM_BUDGET:
+        raise BudgetExceeded(
+            f"{inst.n} targets exceed budget {congruence.ENUM_BUDGET}; pass --c"
+        )
+    else:
+        targets = range(inst.n)
     hist = None
     if args.enumerate:
         hist = congruence.counts_by_target(inst)

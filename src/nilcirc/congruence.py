@@ -76,11 +76,6 @@ def count_closed_form(inst: Lemma1Instance) -> int:
     return total // inst.n_star
 
 
-def count_enumerate(inst: Lemma1Instance, budget: int = ENUM_BUDGET) -> int:
-    """Count satisfying tuples by brute force over [0, m)**qvars."""
-    return counts_by_target(inst, budget)[inst.c]
-
-
 def counts_by_target(inst: Lemma1Instance, budget: int = ENUM_BUDGET) -> list[int]:
     """One enumeration pass, histogrammed over every target c in [0, n)."""
     m, n = inst.m, inst.n

@@ -10,13 +10,13 @@ reduction to decide_zp at every prime factor of m.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import circring
 from .circring import CirculantElem
-from .errors import InvalidInput, InvalidPrime
-from .numutil import ceil_div, factorize, is_prime, p_adic_valuation, pow_checked
+from .errors import InvalidInput, InvalidPrime, Overflow
+from .numutil import INT_LIMIT, ceil_div, factorize, is_prime, p_adic_valuation, pow_checked
 
 
 class ZmClause(enum.Enum):
@@ -36,21 +36,10 @@ class ZpVerdict:
     m_star: int
     nilpotent: bool
     index: Optional[int] = None
-    qdiv: Optional[int] = None
-    rdiv: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "p": self.p,
-            "a": self.a,
-            "b": self.b,
-            "n_star": self.n_star,
-            "m_star": self.m_star,
-            "nilpotent": self.nilpotent,
-            "index": self.index,
-        }
+        # The fields are the documented JSON keys, in their documented order.
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -60,31 +49,15 @@ class ZmVerdict:
     nilpotent: bool
     clause: ZmClause
     per_prime: tuple[ZpVerdict, ...] = ()
-    exact_index: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "n": self.n,
             "m": self.m,
             "nilpotent": self.nilpotent,
             "clause": self.clause.value,
             "per_prime": [v.to_json_dict() for v in self.per_prime],
         }
-        if self.exact_index is not None:
-            out["index"] = self.exact_index
-        return out
-
-
-@dataclass(frozen=True)
-class NecessityReport:
-    n: int
-    m: int
-    p: int
-    row_sum_ok: bool
-    oracle_nilpotent: bool
-    p_divides_m: bool
-    n_divides_m_pk: bool
-    implication_ok: bool
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +104,22 @@ def decide_zp(n: int, m: int, p: int) -> ZpVerdict:
     nilpotent = b >= 1 and m_star % n_star == 0
     if not nilpotent:
         return ZpVerdict(n, m, p, a, b, n_star, m_star, False)
-    qdiv, rdiv = divmod(a, b)
-    return ZpVerdict(
-        n, m, p, a, b, n_star, m_star, True,
-        index=index_formula(a, b, p), qdiv=qdiv, rdiv=rdiv,
-    )
+    return ZpVerdict(n, m, p, a, b, n_star, m_star, True, index_formula(a, b, p))
 
 
 # ---------------------------------------------------------------------------
 # Z_m
+
+
+def _zm_primes(n: int, m: int) -> tuple[int, ...]:
+    """Check the arguments of a Z_m decision; return the primes dividing m."""
+    if m < 2:
+        raise InvalidInput(f"decide_zm needs m >= 2, got {m}")
+    if n < 1:
+        raise InvalidInput(f"decide_zm needs n >= 1, got {n}")
+    if n > INT_LIMIT or m > INT_LIMIT:
+        raise Overflow(f"n={n}, m={m} is outside the supported range")
+    return factorize(m).primes()
 
 
 def decide_zm(n: int, m: int) -> ZmVerdict:
@@ -149,11 +129,7 @@ def decide_zm(n: int, m: int) -> ZmVerdict:
     counts, as the zeroth power), or m has at least two distinct prime
     factors and n divides m.
     """
-    if m < 2:
-        raise InvalidInput(f"decide_zm needs m >= 2, got {m}")
-    if n < 1:
-        raise InvalidInput(f"decide_zm needs n >= 1, got {n}")
-    m_primes = factorize(m).primes()
+    m_primes = _zm_primes(n, m)
     if len(m_primes) == 1:
         p = m_primes[0]
         if n == 1 or factorize(n).primes() == (p,):
@@ -165,11 +141,7 @@ def decide_zm(n: int, m: int) -> ZmVerdict:
 
 def decide_zm_via_primes(n: int, m: int) -> ZmVerdict:
     """Nilpotent over Z_m iff nilpotent over Z_p for every prime p | m."""
-    if m < 2:
-        raise InvalidInput(f"decide_zm needs m >= 2, got {m}")
-    if n < 1:
-        raise InvalidInput(f"decide_zm needs n >= 1, got {n}")
-    verdicts = tuple(decide_zp(n, m, p) for p in factorize(m).primes())
+    verdicts = tuple(decide_zp(n, m, p) for p in _zm_primes(n, m))
     nilpotent = all(v.nilpotent for v in verdicts)
     if not nilpotent:
         clause = ZmClause.NOT_NILPOTENT
@@ -203,11 +175,12 @@ def witness_nonvanishing(n: int, m: int, p: int) -> tuple[CirculantElem, bool]:
     Returns the computed power and whether it matches the prediction.
     """
     v = _nilpotent_verdict_with_split(n, m, p)
+    qdiv, rdiv = divmod(v.a, v.b)
     t = circring.geom_sum(n, m, p)
     computed = circring.power(t, v.index - 1)
-    scale = pow_checked(v.m_star, v.qdiv) // v.n_star
+    scale = pow_checked(v.m_star, qdiv) // v.n_star
     predicted = circring.scalar_mul(
-        scale, circring.multiples_indicator(n, p, pow_checked(p, v.rdiv))
+        scale, circring.multiples_indicator(n, p, pow_checked(p, rdiv))
     )
     return computed, computed == predicted
 
@@ -215,33 +188,8 @@ def witness_nonvanishing(n: int, m: int, p: int) -> tuple[CirculantElem, bool]:
 def annihilation_check(n: int, m: int, p: int) -> bool:
     """The indicator of multiples of p**r kills T: their product is zero mod p."""
     v = _nilpotent_verdict_with_split(n, m, p)
-    indicator = circring.multiples_indicator(n, p, pow_checked(p, v.rdiv))
+    rdiv = v.a % v.b
+    indicator = circring.multiples_indicator(n, p, pow_checked(p, rdiv))
     t = circring.geom_sum(n, m, p)
     return circring.is_zero(circring.mul(indicator, t))
 
-
-def necessity_checks(n: int, m: int, p: int, k_bound: int = 6) -> NecessityReport:
-    """Check the two facts forced by nilpotence.
-
-    (1) The coefficient sum of T**k is m**k mod p (all-ones eigenvector), for
-    k up to k_bound. (2) If the brute-force oracle finds T nilpotent, then
-    p | m and n | m * p**k for some k <= v_p(n) + 1.
-    """
-    from .oracle import min_nilpotent_index  # deferred: oracle imports this module
-
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
-    t = circring.geom_sum(n, m, p)
-    row_sum_ok = all(
-        circring.row_sum(circring.power(t, k)) == pow(m, k, p)
-        for k in range(1, k_bound + 1)
-    )
-    oracle_nilpotent = min_nilpotent_index(t, n) is not None
-    p_divides_m = m % p == 0
-    a = p_adic_valuation(n, p).exponent
-    n_divides_m_pk = any((m * p**k) % n == 0 for k in range(a + 2))
-    implication_ok = (not oracle_nilpotent) or (p_divides_m and n_divides_m_pk)
-    return NecessityReport(
-        n, m, p, row_sum_ok, oracle_nilpotent, p_divides_m, n_divides_m_pk,
-        implication_ok,
-    )

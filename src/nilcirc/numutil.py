@@ -36,12 +36,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
 
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for all n < 2**64."""
@@ -49,7 +43,7 @@ def is_prime(n: int) -> bool:
         raise Overflow(f"{n} is outside the supported range")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1
@@ -76,6 +70,8 @@ def p_adic_valuation(x: int, p: int) -> Valuation:
         raise InvalidPrime(f"{p} is not prime")
     if x < 1:
         raise InvalidInput(f"valuation needs x >= 1, got {x}")
+    if x > INT_LIMIT:
+        raise Overflow(f"{x} is outside the supported range")
     e = 0
     while x % p == 0:
         x //= p

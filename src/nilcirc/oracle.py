@@ -7,15 +7,13 @@ side beyond the ring primitives themselves.
 
 from __future__ import annotations
 
-import dataclasses
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import circring
 from .circring import CirculantElem
 from .errors import InvalidInput
-from .nilpotence import ZmVerdict, decide_zm, decide_zp
+from .nilpotence import decide_zm, decide_zp
 from .numutil import is_prime
 
 
@@ -28,19 +26,9 @@ class OracleReport:
     predicted_nilpotent: bool
     predicted_index: Optional[int]
     agree: bool
-    elapsed: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "modulus": self.modulus,
-            "oracle_index": self.oracle_index,
-            "predicted_nilpotent": self.predicted_nilpotent,
-            "predicted_index": self.predicted_index,
-            "agree": self.agree,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
@@ -69,38 +57,18 @@ def verify_theorem1(n: int, m: int, p: int) -> OracleReport:
 
     Bound n is sound: a nilpotent n x n matrix has index at most n.
     """
-    start = time.perf_counter()
     verdict = decide_zp(n, m, p)
     found = min_nilpotent_index(circring.geom_sum(n, m, p), n)
     agree = _agree(found, verdict.nilpotent, verdict.index)
-    return OracleReport(
-        n, m, p, found, verdict.nilpotent, verdict.index, agree,
-        time.perf_counter() - start,
-    )
+    return OracleReport(n, m, p, found, verdict.nilpotent, verdict.index, agree)
 
 
 def verify_corollary1(n: int, m: int) -> OracleReport:
     """Compare decide_zm with the index search over Z_m, bound n."""
-    start = time.perf_counter()
     verdict = decide_zm(n, m)
     found = min_nilpotent_index(circring.geom_sum(n, m, m), n)
-    if found is not None:
-        assert found <= n  # the promised bound; unreachable to violate with bound=n
     agree = _agree(found, verdict.nilpotent, None)
-    return OracleReport(
-        n, m, m, found, verdict.nilpotent, None, agree,
-        time.perf_counter() - start,
-    )
-
-
-def with_exact_index(verdict: ZmVerdict) -> ZmVerdict:
-    """Fill ZmVerdict.exact_index from the index search (bound n)."""
-    if not verdict.nilpotent:
-        return verdict
-    found = min_nilpotent_index(
-        circring.geom_sum(verdict.n, verdict.m, verdict.m), verdict.n
-    )
-    return dataclasses.replace(verdict, exact_index=found)
+    return OracleReport(n, m, m, found, verdict.nilpotent, None, agree)
 
 
 def frobenius_check(a: CirculantElem, b: CirculantElem, k: int) -> bool:

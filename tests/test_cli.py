@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,17 @@ def test_decide_invalid_n_is_bad_input(capsys):
     code, _, err = run(capsys, "decide", "--n", "0", "--m", "2", "--p", "2")
     assert code == 3
     assert "InvalidInput" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", "--p", "2", "--n", str(2**128), "--m", "3"),
+    ("decide", "--zm", "--n", str(2**128 + 1), "--m", "6"),
+])
+def test_decide_beyond_int_limit_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "Overflow" in err
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +165,29 @@ def test_scan_json_round_trips(capsys):
 
 
 def test_scan_parallel_matches_serial(capsys):
+    # only --verify scans use the process pool
     code1, out1, _ = run(
         capsys, "scan", "--p", "2", "--n-max", "8", "--m-max", "8",
-        "--format", "csv", "--jobs", "1",
+        "--verify", "--format", "csv", "--jobs", "1",
     )
     code2, out2, _ = run(
         capsys, "scan", "--p", "2", "--n-max", "8", "--m-max", "8",
-        "--format", "csv", "--jobs", "2",
+        "--verify", "--format", "csv", "--jobs", "2",
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_scan_closed_form_never_starts_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a closed-form scan started a process pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    for mode in (("--p", "2"), ("--zm",)):
+        code, _, _ = run(
+            capsys, "scan", *mode, "--n-max", "8", "--m-max", "8", "--jobs", "2",
+        )
+        assert code == 0
 
 
 def test_scan_out_file(tmp_path, capsys):
@@ -250,6 +275,18 @@ def test_lemma1_single_target_json(capsys):
     assert doc["closed_form"] == doc["recursive"] == doc["enumerated"] == 8
     assert doc["agree"] is True
     assert doc["instance"]["m"] == 12 and doc["instance"]["n"] == 18
+
+
+def test_lemma1_all_targets_over_budget(capsys):
+    # n = 2**40 targets: refused up front, never materialized
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "lemma1", "--d", "2", "--m-star", "1", "--n-star", "1", "--q", "40",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "BudgetExceeded" in err
 
 
 def test_lemma1_json_all_targets_is_array(capsys):

@@ -5,7 +5,6 @@ import pytest
 from nilcirc.congruence import (
     Lemma1Instance,
     count_closed_form,
-    count_enumerate,
     count_recursive,
     counts_by_target,
     validate,
@@ -58,16 +57,16 @@ def test_closed_form_overflow():
 
 
 def test_enumerate_examples():
-    assert count_enumerate(validate(2, 3, 1, 2, c=0)) == 9
-    assert count_enumerate(validate(2, 1, 1, 1, c=0)) == 1
-    assert count_enumerate(validate(2, 3, 1, 2, c=3)) == 9
+    assert counts_by_target(validate(2, 3, 1, 2))[0] == 9
+    assert counts_by_target(validate(2, 1, 1, 1))[0] == 1
+    assert counts_by_target(validate(2, 3, 1, 2))[3] == 9
 
 
 def test_enumerate_budget():
     inst = validate(2, 3, 1, 2)
     with pytest.raises(BudgetExceeded):
-        count_enumerate(inst, budget=35)  # 6**2 = 36 tuples needed
-    assert count_enumerate(inst, budget=36) == 9
+        counts_by_target(inst, budget=35)  # 6**2 = 36 tuples needed
+    assert counts_by_target(inst, budget=36)[0] == 9
 
 
 def test_recursive_examples():

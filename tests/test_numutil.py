@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 from nilcirc.errors import InvalidInput, InvalidPrime, Overflow
 from nilcirc.numutil import (
     INT_LIMIT,
-    Factorization,
     ceil_div,
     factorize,
     is_prime,
@@ -96,14 +97,10 @@ def test_factorize_rejects_small():
 @given(st.integers(min_value=2, max_value=10**6))
 def test_factorize_recomposes(q):
     f = factorize(q)
-    assert f.value() == q
+    assert math.prod(p**e for p, e in f.pairs) == q
     assert list(f.primes()) == sorted(set(f.primes()))
     for p in f.primes():
         assert is_prime(p)
-
-
-def test_factorization_value():
-    assert Factorization(((2, 2), (7, 1))).value() == 28
 
 
 # ---------------------------------------------------------------------------
