@@ -11,7 +11,6 @@ from .errors import (
     InvalidPrime,
     Overflow,
     ShapeMismatch,
-    TooLarge,
 )
 from .nilpotence import (
     ZmClause,
@@ -23,14 +22,7 @@ from .nilpotence import (
     index_expansion,
     index_formula,
 )
-from .oracle import (
-    OracleReport,
-    frobenius_check,
-    geometric_identity_check,
-    min_nilpotent_index,
-    verify_corollary1,
-    verify_theorem1,
-)
+from .oracle import frobenius_check, geometric_identity_check, min_nilpotent_index
 
 __version__ = "0.1.0"
 
@@ -43,10 +35,8 @@ __all__ = [
     "InvalidInput",
     "InvalidPrime",
     "Lemma1Instance",
-    "OracleReport",
     "Overflow",
     "ShapeMismatch",
-    "TooLarge",
     "ZmClause",
     "ZmVerdict",
     "ZpVerdict",
@@ -63,6 +53,4 @@ __all__ = [
     "min_nilpotent_index",
     "shift_power",
     "validate",
-    "verify_corollary1",
-    "verify_theorem1",
 ]

@@ -3,16 +3,14 @@
 An element is stored as its length-n coefficient vector: coefficient j is
 attached to the j-th power of the cyclic shift, so the element is the
 polynomial sum(coeffs[j] * S**j) taken modulo S**n = I. Coefficients are kept
-canonical in [0, q). The dense n x n form exists only for cross-checks.
+canonical in [0, q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInput, ShapeMismatch, TooLarge
-
-DENSE_BOUND = 512
+from .errors import InvalidInput, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -32,13 +30,6 @@ class CirculantElem:
             )
         if any(c < 0 or c >= self.modulus for c in self.coeffs):
             raise InvalidInput("coefficients must be canonical residues in [0, q)")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "modulus": self.modulus,
-            "coeffs": list(self.coeffs),
-        }
 
 
 def _check_match(a: CirculantElem, b: CirculantElem) -> None:
@@ -148,10 +139,3 @@ def power(a: CirculantElem, k: int) -> CirculantElem:
 def is_zero(a: CirculantElem) -> bool:
     return all(c == 0 for c in a.coeffs)
 
-
-def to_dense(a: CirculantElem, bound: int = DENSE_BOUND) -> list[list[int]]:
-    """Expand to the n x n matrix with row i, column j = coeffs[(j - i) mod n]."""
-    n = a.order
-    if n > bound:
-        raise TooLarge(f"order {n} exceeds dense bound {bound}")
-    return [[a.coeffs[(j - i) % n] for j in range(n)] for i in range(n)]

@@ -18,8 +18,9 @@ from .errors import (
     CoprimalityViolated,
     DivisibilityViolated,
     InvalidInput,
+    Overflow,
 )
-from .numutil import pow_checked
+from .numutil import INT_LIMIT, pow_checked
 
 ENUM_BUDGET = 10**7
 
@@ -66,7 +67,9 @@ def validate(d: int, m_star: int, n_star: int, qvars: int, c: int = 0) -> Lemma1
         raise CoprimalityViolated(f"gcd(d={d}, n_star={n_star}) != 1")
     if m_star % n_star != 0:
         raise DivisibilityViolated(f"n_star={n_star} does not divide m_star={m_star}")
-    n = d**qvars * n_star
+    n = pow_checked(d, qvars) * n_star
+    if n > INT_LIMIT:
+        raise Overflow(f"n = {d}**{qvars} * {n_star} exceeds the supported range")
     return Lemma1Instance(d, m_star, n_star, qvars, c % n)
 
 

@@ -25,10 +25,6 @@ class ShapeMismatch(InputError):
     """Ring elements with different order or modulus were combined."""
 
 
-class TooLarge(InputError):
-    """Dense-matrix export requested above the documented size bound."""
-
-
 class CoprimalityViolated(InputError):
     """A pair of parameters required to be coprime is not."""
 

@@ -159,10 +159,12 @@ def decide_zm_via_primes(n: int, m: int) -> ZmVerdict:
 def _nilpotent_verdict_with_split(n: int, m: int, p: int) -> ZpVerdict:
     v = decide_zp(n, m, p)
     if not v.nilpotent:
-        raise InvalidInput(f"T(n={n}, m={m}) is not nilpotent over Z_{p}")
+        raise InvalidInput(f"not applicable: T(n={n}, m={m}) is not nilpotent over Z_{p}")
     if v.a < v.b:
+        # The identities need one full division step, a >= b.
         raise InvalidInput(
-            f"needs a >= b (one full division step), got a={v.a}, b={v.b}"
+            f"not applicable: a={v.a} < b={v.b}, T is already zero"
+            " and the expansion is bypassed"
         )
     return v
 

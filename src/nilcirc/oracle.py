@@ -1,4 +1,4 @@
-"""Brute-force ground truth and the harnesses that compare closed forms to it.
+"""Brute-force ground truth: the index search and the structural identities.
 
 The index search multiplies one factor at a time on purpose: every
 intermediate power is inspected, and no code is shared with the closed-form
@@ -7,28 +7,12 @@ side beyond the ring primitives themselves.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import circring
 from .circring import CirculantElem
 from .errors import InvalidInput
-from .nilpotence import decide_zm, decide_zp
 from .numutil import is_prime
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    n: int
-    m: int
-    modulus: int
-    oracle_index: Optional[int]
-    predicted_nilpotent: bool
-    predicted_index: Optional[int]
-    agree: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
@@ -41,34 +25,6 @@ def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
             return k
         acc = circring.mul(acc, a)
     return None
-
-
-def _agree(oracle_index: Optional[int], predicted_nilpotent: bool,
-           predicted_index: Optional[int]) -> bool:
-    if (oracle_index is not None) != predicted_nilpotent:
-        return False
-    if oracle_index is not None and predicted_index is not None:
-        return oracle_index == predicted_index
-    return True
-
-
-def verify_theorem1(n: int, m: int, p: int) -> OracleReport:
-    """Compare decide_zp with the index search over Z_p, bound n.
-
-    Bound n is sound: a nilpotent n x n matrix has index at most n.
-    """
-    verdict = decide_zp(n, m, p)
-    found = min_nilpotent_index(circring.geom_sum(n, m, p), n)
-    agree = _agree(found, verdict.nilpotent, verdict.index)
-    return OracleReport(n, m, p, found, verdict.nilpotent, verdict.index, agree)
-
-
-def verify_corollary1(n: int, m: int) -> OracleReport:
-    """Compare decide_zm with the index search over Z_m, bound n."""
-    verdict = decide_zm(n, m)
-    found = min_nilpotent_index(circring.geom_sum(n, m, m), n)
-    agree = _agree(found, verdict.nilpotent, None)
-    return OracleReport(n, m, m, found, verdict.nilpotent, None, agree)
 
 
 def frobenius_check(a: CirculantElem, b: CirculantElem, k: int) -> bool:

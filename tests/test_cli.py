@@ -1,11 +1,11 @@
-import dataclasses
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from nilcirc import cli
+from nilcirc import cli, nilpotence
 from nilcirc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -60,6 +60,21 @@ def test_decide_zm_json_includes_per_prime(capsys):
     doc = json.loads(out)
     assert doc["clause"] == "multi_prime_divides"
     assert [v["p"] for v in doc["per_prime"]] == [2, 3]
+
+
+def test_decide_zm_json_factorizes_m_once(capsys, monkeypatch):
+    calls = []
+    real = nilpotence.factorize
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(nilpotence, "factorize", counting)
+    code, out, _ = run(capsys, "decide", "--zm", "--n", "6", "--m", "12", "--json")
+    assert code == 0
+    assert json.loads(out)["nilpotent"] is True
+    assert calls == [12]
 
 
 def test_decide_usage_errors(capsys):
@@ -214,14 +229,8 @@ def test_scan_zm_without_verify_leaves_oracle_columns_empty(capsys):
 
 
 def test_scan_disagreement_exits_one(capsys, monkeypatch):
-    # force the harness to report a mismatch; the driver must exit 1
-    real = cli.oracle.verify_theorem1
-
-    def lying(n, m, p):
-        report = real(n, m, p)
-        return dataclasses.replace(report, agree=False)
-
-    monkeypatch.setattr(cli.oracle, "verify_theorem1", lying)
+    # force the oracle to miss every nilpotent cell; the scan must exit 1
+    monkeypatch.setattr(cli.oracle, "min_nilpotent_index", lambda a, bound: None)
     code, out, _ = run(
         capsys, "scan", "--p", "2", "--n-max", "2", "--m-max", "2",
         "--verify", "--jobs", "1",
@@ -289,6 +298,50 @@ def test_lemma1_all_targets_over_budget(capsys):
     assert "BudgetExceeded" in err
 
 
+@pytest.mark.parametrize("d, q", [("2", "2000"), ("3", "100000000")])
+def test_lemma1_n_beyond_int_limit_is_overflow(capsys, d, q):
+    # n = d**q * n_star is refused before any counting or d**q itself
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "lemma1", "--d", d, "--m-star", "1", "--n-star", "1", "--q", q, "--c", "0",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "Overflow" in err
+
+
+def test_lemma1_all_targets_streams(monkeypatch):
+    # 4096 targets: the sweep must not hold one report per target
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr("sys.stdout", Discard())
+    tracemalloc.start()
+    try:
+        code = main(["lemma1", "--d", "2", "--m-star", "1", "--n-star", "1",
+                     "--q", "12", "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("argv", [
+    ("--d", "3", "--m-star", "2", "--n-star", "1", "--q", "2", "--enumerate"),
+    ("--d", "2", "--m-star", "1", "--n-star", "1", "--q", "8"),  # several batches
+])
+def test_lemma1_streamed_json_matches_json_dumps(capsys, argv):
+    code, out, _ = run(capsys, "lemma1", *argv, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_lemma1_json_all_targets_is_array(capsys):
     code, out, _ = run(
         capsys, "lemma1", "--d", "2", "--m-star", "1", "--n-star", "1",
@@ -331,7 +384,7 @@ def test_identities_random_mode(capsys):
 def test_identities_not_applicable(capsys):
     code, _, err = run(capsys, "identities", "--n", "4", "--m", "6", "--p", "3")
     assert code == 3
-    assert "not applicable" in err
+    assert "error: InvalidInput: not applicable" in err
     code, _, err = run(capsys, "identities", "--n", "2", "--m", "4", "--p", "2")
     assert code == 3
     assert "not applicable" in err and "a=1 < b=2" in err

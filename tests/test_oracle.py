@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -9,8 +8,6 @@ from nilcirc.oracle import (
     frobenius_check,
     geometric_identity_check,
     min_nilpotent_index,
-    verify_corollary1,
-    verify_theorem1,
 )
 
 
@@ -38,30 +35,6 @@ def test_oracle_self_consistency():
             assert circring.is_zero(circring.power(a, k))
             assert k == 1 or not circring.is_zero(circring.power(a, k - 1))
     assert seen_nilpotent > 0
-
-
-def test_verify_theorem1_examples():
-    r = verify_theorem1(8, 2, 2)
-    assert r.agree and r.oracle_index == r.predicted_index == 8
-    r = verify_theorem1(9, 3, 3)
-    assert r.agree and r.oracle_index == r.predicted_index == 5
-    r = verify_theorem1(4, 6, 3)
-    assert r.agree and r.oracle_index is None and not r.predicted_nilpotent
-
-
-def test_verify_corollary1_examples():
-    r = verify_corollary1(6, 6)
-    assert r.agree and r.oracle_index is not None and r.oracle_index <= 6
-    r = verify_corollary1(8, 4)
-    assert r.agree and r.modulus == 4 and r.oracle_index is not None
-    r = verify_corollary1(4, 6)
-    assert r.agree and r.oracle_index is None
-
-
-def test_report_serializes():
-    d = verify_theorem1(8, 2, 2).to_json_dict()
-    json.dumps(d)
-    assert d["agree"] is True and d["modulus"] == 2
 
 
 def test_frobenius_examples():
