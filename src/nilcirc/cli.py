@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import circring, congruence, nilpotence, oracle
 from .errors import BudgetExceeded, InputError, InvalidPrime
-from .numutil import is_prime
+from .numutil import check_int, is_prime
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -301,6 +301,8 @@ def _random_elem(rng: random.Random, n: int, q: int) -> circring.CirculantElem:
 def _identities_random(args) -> int:
     if not is_prime(args.p):
         raise InvalidPrime(f"{args.p} is not prime")
+    # Checked before the first draw, which builds n coefficients.
+    check_int("n", args.n, 1)
     rng = random.Random(args.seed)
     trials = args.random_trials
     frob_pass = geo_pass = 0

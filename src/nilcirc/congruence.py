@@ -13,14 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceeded,
-    CoprimalityViolated,
-    DivisibilityViolated,
-    InvalidInput,
-    Overflow,
-)
-from .numutil import INT_LIMIT, pow_checked
+from .errors import BudgetExceeded, CoprimalityViolated, DivisibilityViolated
+from .numutil import check_int, pow_checked
 
 ENUM_BUDGET = 10**7
 
@@ -55,21 +49,18 @@ class Lemma1Instance:
 
 def validate(d: int, m_star: int, n_star: int, qvars: int, c: int = 0) -> Lemma1Instance:
     """Check the hypotheses and return the instance, with c reduced mod n."""
-    if d < 2:
-        raise InvalidInput(f"d must be >= 2, got {d}")
-    if m_star < 1 or n_star < 1:
-        raise InvalidInput("m_star and n_star must be positive")
-    if qvars < 1:
-        raise InvalidInput(f"qvars must be >= 1, got {qvars}")
+    check_int("d", d, 2)
+    check_int("m_star", m_star, 1)
+    check_int("n_star", n_star, 1)
+    check_int("qvars", qvars, 1)
     if math.gcd(d, m_star) != 1:
         raise CoprimalityViolated(f"gcd(d={d}, m_star={m_star}) != 1")
     if math.gcd(d, n_star) != 1:
         raise CoprimalityViolated(f"gcd(d={d}, n_star={n_star}) != 1")
     if m_star % n_star != 0:
         raise DivisibilityViolated(f"n_star={n_star} does not divide m_star={m_star}")
-    n = pow_checked(d, qvars) * n_star
-    if n > INT_LIMIT:
-        raise Overflow(f"n = {d}**{qvars} * {n_star} exceeds the supported range")
+    check_int("m", d * m_star, 2)
+    n = check_int("n", pow_checked(d, qvars) * n_star, 1)
     return Lemma1Instance(d, m_star, n_star, qvars, c % n)
 
 
@@ -79,11 +70,11 @@ def count_closed_form(inst: Lemma1Instance) -> int:
     return total // inst.n_star
 
 
-def counts_by_target(inst: Lemma1Instance, budget: int = ENUM_BUDGET) -> list[int]:
+def counts_by_target(inst: Lemma1Instance) -> list[int]:
     """One enumeration pass, histogrammed over every target c in [0, n)."""
     m, n = inst.m, inst.n
-    if m**inst.qvars > budget:
-        raise BudgetExceeded(f"{m}**{inst.qvars} tuples exceed budget {budget}")
+    if m**inst.qvars > ENUM_BUDGET:
+        raise BudgetExceeded(f"{m}**{inst.qvars} tuples exceed budget {ENUM_BUDGET}")
     weights = [pow(inst.d, i, n) for i in range(inst.qvars)]
     hist = [0] * n
     for xs in itertools.product(range(m), repeat=inst.qvars):
@@ -100,11 +91,9 @@ def count_recursive(inst: Lemma1Instance) -> int:
     d, into the same problem with qvars - 1 variables and modulus n/d. The
     one-variable base case x_0 = c (mod n) has m/n solutions in [0, m).
     """
-    if inst.qvars == 1:
-        return inst.m // inst.n
-    x0 = inst.c % inst.d
-    c_next = (inst.c - x0) // inst.d
-    reduced = Lemma1Instance(
-        inst.d, inst.m_star, inst.n_star, inst.qvars - 1, c_next % (inst.n // inst.d)
-    )
-    return inst.m_star * count_recursive(reduced)
+    d, c, n, count = inst.d, inst.c, inst.n, 1
+    for _ in range(inst.qvars - 1):
+        n //= d
+        c = c // d % n  # (c - x_0) / d with x_0 = c mod d, reduced mod n/d
+        count *= inst.m_star
+    return count * (inst.m // n)

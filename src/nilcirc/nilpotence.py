@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import circring
 from .circring import CirculantElem
-from .errors import InvalidInput, InvalidPrime, Overflow
-from .numutil import INT_LIMIT, ceil_div, factorize, is_prime, p_adic_valuation, pow_checked
+from .errors import InvalidInput, InvalidPrime
+from .numutil import ceil_div, check_int, factorize, is_prime, p_adic_valuation, pow_checked
 
 
 class ZmClause(enum.Enum):
@@ -68,8 +68,7 @@ def index_formula(a: int, b: int, p: int) -> int:
     """ceil(p**a / (p**b - 1)) with checked arithmetic."""
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
-    if b < 1:
-        raise InvalidInput(f"index formula needs b >= 1, got {b}")
+    check_int("b", b, 1)
     return ceil_div(pow_checked(p, a), pow_checked(p, b) - 1)
 
 
@@ -79,8 +78,7 @@ def index_expansion(a: int, b: int, p: int) -> tuple[int, int, int]:
     Only defined for a >= b (one full division step); below that T itself is
     already zero and the expansion is bypassed.
     """
-    if b < 1:
-        raise InvalidInput(f"expansion needs b >= 1, got {b}")
+    check_int("b", b, 1)
     if a < b:
         raise InvalidInput(f"expansion needs a >= b, got a={a}, b={b}")
     qdiv, rdiv = divmod(a, b)
@@ -95,12 +93,10 @@ def decide_zp(n: int, m: int, p: int) -> ZpVerdict:
     The divisibility condition "n | m * p**k for some k" holds iff the p-free
     part of n divides the p-free part of m, which is what gets tested.
     """
-    if n < 1 or m < 1:
-        raise InvalidInput(f"decide_zp needs n, m >= 1, got n={n}, m={m}")
-    va = p_adic_valuation(n, p)  # also validates p
-    vb = p_adic_valuation(m, p)
-    a, n_star = va.exponent, va.cofactor
-    b, m_star = vb.exponent, vb.cofactor
+    check_int("n", n, 1)
+    check_int("m", m, 1)
+    a, n_star = p_adic_valuation(n, p)  # also validates p
+    b, m_star = p_adic_valuation(m, p)
     nilpotent = b >= 1 and m_star % n_star == 0
     if not nilpotent:
         return ZpVerdict(n, m, p, a, b, n_star, m_star, False)
@@ -113,13 +109,9 @@ def decide_zp(n: int, m: int, p: int) -> ZpVerdict:
 
 def _zm_primes(n: int, m: int) -> tuple[int, ...]:
     """Check the arguments of a Z_m decision; return the primes dividing m."""
-    if m < 2:
-        raise InvalidInput(f"decide_zm needs m >= 2, got {m}")
-    if n < 1:
-        raise InvalidInput(f"decide_zm needs n >= 1, got {n}")
-    if n > INT_LIMIT or m > INT_LIMIT:
-        raise Overflow(f"n={n}, m={m} is outside the supported range")
-    return factorize(m).primes()
+    check_int("m", m, 2)
+    check_int("n", n, 1)
+    return tuple(p for p, _ in factorize(m))
 
 
 def decide_zm(n: int, m: int) -> ZmVerdict:
@@ -131,8 +123,7 @@ def decide_zm(n: int, m: int) -> ZmVerdict:
     """
     m_primes = _zm_primes(n, m)
     if len(m_primes) == 1:
-        p = m_primes[0]
-        if n == 1 or factorize(n).primes() == (p,):
+        if n == 1 or tuple(p for p, _ in factorize(n)) == m_primes:
             return ZmVerdict(n, m, True, ZmClause.SAME_PRIME_POWERS)
     elif m % n == 0:
         return ZmVerdict(n, m, True, ZmClause.MULTI_PRIME_DIVIDES)

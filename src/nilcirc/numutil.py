@@ -1,4 +1,4 @@
-"""Integer utilities: primality, valuations, factorization, checked powers.
+"""Integer utilities: domain check, primality, valuations, factorization, powers.
 
 All arithmetic is exact. The supported input range is [0, 2**64); results that
 would leave it raise Overflow rather than ever returning a wrong value.
@@ -7,7 +7,6 @@ would leave it raise Overflow rather than ever returning a wrong value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidInput, InvalidPrime, Overflow
 
@@ -19,22 +18,13 @@ INT_LIMIT = 2**64 - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """x split as prime**exponent * cofactor with the prime not dividing cofactor."""
-
-    exponent: int
-    cofactor: int
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Complete factorization as (prime, exponent) pairs, primes increasing."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
+def check_int(name: str, value: int, lo: int) -> int:
+    """value, if it lies in [lo, INT_LIMIT]; the one range check of the library."""
+    if value < lo:
+        raise InvalidInput(f"{name} must be >= {lo}, got {value}")
+    if value > INT_LIMIT:
+        raise Overflow(f"{name}={value} is outside the supported range")
+    return value
 
 
 def is_prime(n: int) -> bool:
@@ -64,27 +54,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def p_adic_valuation(x: int, p: int) -> Valuation:
-    """Largest e with p**e | x, plus the p-free cofactor x / p**e."""
+def p_adic_valuation(x: int, p: int) -> tuple[int, int]:
+    """(e, x / p**e) for the largest e with p**e | x, like divmod."""
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
-    if x < 1:
-        raise InvalidInput(f"valuation needs x >= 1, got {x}")
-    if x > INT_LIMIT:
-        raise Overflow(f"{x} is outside the supported range")
+    check_int("x", x, 1)
     e = 0
     while x % p == 0:
         x //= p
         e += 1
-    return Valuation(e, x)
+    return e, x
 
 
-def factorize(q: int) -> Factorization:
-    """Prime factorization by trial division; inputs are desk-scale."""
-    if q < 2:
-        raise InvalidInput(f"factorize needs q >= 2, got {q}")
-    if q > INT_LIMIT:
-        raise Overflow(f"{q} is outside the supported range")
+def factorize(q: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs, primes increasing; trial division, q is desk-scale."""
+    check_int("q", q, 2)
     pairs = []
     d = 2
     while d * d <= q:
@@ -97,24 +81,20 @@ def factorize(q: int) -> Factorization:
         d += 1 if d == 2 else 2
     if q > 1:
         pairs.append((q, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 def ceil_div(a: int, b: int) -> int:
     """Ceiling of a/b for positive integers."""
-    if b < 1:
-        raise InvalidInput(f"ceil_div needs b >= 1, got {b}")
-    if a < 1:
-        raise InvalidInput(f"ceil_div needs a >= 1, got {a}")
+    check_int("b", b, 1)
+    check_int("a", a, 1)
     return -(-a // b)
 
 
 def pow_checked(base: int, exp: int) -> int:
     """base**exp, or Overflow if the exact value leaves the supported range."""
-    if base < 0 or exp < 0:
-        raise InvalidInput("pow_checked needs non-negative base and exponent")
-    if base > INT_LIMIT:
-        raise Overflow(f"{base} is outside the supported range")
+    check_int("base", base, 0)
+    check_int("exp", exp, 0)
     if base > 1 and exp * math.log2(base) > 66:
         # log2 screen is conservative either way; the exact check below settles it.
         raise Overflow(f"{base}**{exp} exceeds the supported range")

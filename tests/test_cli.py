@@ -311,6 +311,17 @@ def test_lemma1_n_beyond_int_limit_is_overflow(capsys, d, q):
     assert "Overflow" in err
 
 
+def test_lemma1_m_beyond_int_limit_is_overflow(capsys):
+    # m = 3 * 2**63 leaves the domain although n = 3 does not
+    code, out, err = run(
+        capsys, "lemma1", "--d", "3", "--m-star", str(2**63), "--n-star", "1",
+        "--q", "1", "--c", "0",
+    )
+    assert code == 3
+    assert out == ""
+    assert "Overflow" in err
+
+
 def test_lemma1_all_targets_streams(monkeypatch):
     # 4096 targets: the sweep must not hold one report per target
     class Discard:
@@ -397,6 +408,18 @@ def test_identities_usage_errors(capsys):
         capsys, "identities", "--n", "4", "--m", "2", "--p", "2", "--random-trials", "5",
     )
     assert code == 2
+
+
+def test_identities_random_n_beyond_int_limit_is_overflow(capsys):
+    # refused before the first random element would draw n coefficients
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "identities", "--random-trials", "1", "--p", "2", "--n", str(2**70),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "Overflow" in err
 
 
 def test_identities_random_composite_p(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from nilcirc import congruence
 from nilcirc.congruence import (
     Lemma1Instance,
     count_closed_form,
@@ -62,11 +63,13 @@ def test_enumerate_examples():
     assert counts_by_target(validate(2, 3, 1, 2))[3] == 9
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
     inst = validate(2, 3, 1, 2)
+    monkeypatch.setattr(congruence, "ENUM_BUDGET", 35)
     with pytest.raises(BudgetExceeded):
-        counts_by_target(inst, budget=35)  # 6**2 = 36 tuples needed
-    assert counts_by_target(inst, budget=36)[0] == 9
+        counts_by_target(inst)  # 6**2 = 36 tuples needed
+    monkeypatch.setattr(congruence, "ENUM_BUDGET", 36)
+    assert counts_by_target(inst)[0] == 9
 
 
 def test_recursive_examples():

@@ -165,12 +165,12 @@ def test_zm_routes_agree_on_grid():
 
 def test_zm_clause_invariants():
     for m in range(2, 37):
-        m_primes = factorize(m).primes()
+        m_primes = [p for p, _ in factorize(m)]
         for n in range(1, 37):
             v = decide_zm(n, m)
             if v.clause is ZmClause.SAME_PRIME_POWERS:
                 assert len(m_primes) == 1
-                assert n == 1 or factorize(n).primes() == m_primes
+                assert n == 1 or [p for p, _ in factorize(n)] == m_primes
             elif v.clause is ZmClause.MULTI_PRIME_DIVIDES:
                 assert len(m_primes) >= 2 and m % n == 0
             assert v.nilpotent == (v.clause is not ZmClause.NOT_NILPOTENT)
@@ -182,7 +182,7 @@ def test_per_prime_verdicts_all_nilpotent_when_zm_is():
             v = decide_zm_via_primes(n, m)
             if v.nilpotent:
                 assert all(z.nilpotent for z in v.per_prime)
-            assert len(v.per_prime) == len(factorize(m).primes())
+            assert len(v.per_prime) == len(factorize(m))
 
 
 def test_zm_json_schema():

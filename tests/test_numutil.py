@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcirc.circring import geom_sum
+from nilcirc.congruence import validate
 from nilcirc.errors import InvalidInput, InvalidPrime, Overflow
+from nilcirc.nilpotence import decide_zm
 from nilcirc.numutil import (
     INT_LIMIT,
     ceil_div,
@@ -13,6 +16,29 @@ from nilcirc.numutil import (
     p_adic_valuation,
     pow_checked,
 )
+from nilcirc.oracle import min_nilpotent_index
+
+
+# ---------------------------------------------------------------------------
+# the integer domain, checked by numutil.check_int at every entry point
+
+# One entry point per module: a call with one parameter set to the given value.
+_DOMAIN_CASES = {
+    "p_adic_valuation": ("x", 1, lambda v: p_adic_valuation(v, 2)),
+    "decide_zm": ("m", 2, lambda v: decide_zm(1, v)),
+    "validate": ("m_star", 1, lambda v: validate(2, v, 1, 1)),
+    "geom_sum": ("n", 1, lambda v: geom_sum(v, 1, 2)),
+    "min_nilpotent_index": ("bound", 1, lambda v: min_nilpotent_index(geom_sum(2, 2, 2), v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DOMAIN_CASES))
+def test_domain_contract(entry):
+    name, lo, call = _DOMAIN_CASES[entry]
+    with pytest.raises(InvalidInput, match=f"^{name} must be >= {lo}, got {lo - 1}$"):
+        call(lo - 1)
+    with pytest.raises(Overflow):
+        call(2**64)
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +79,9 @@ def test_is_prime_matches_trial_division(n):
 
 
 def test_valuation_examples():
-    v = p_adic_valuation(8, 2)
-    assert (v.exponent, v.cofactor) == (3, 1)
-    v = p_adic_valuation(1, 5)
-    assert (v.exponent, v.cofactor) == (0, 1)
-    v = p_adic_valuation(12, 2)
-    assert (v.exponent, v.cofactor) == (2, 3)
+    assert p_adic_valuation(8, 2) == (3, 1)
+    assert p_adic_valuation(1, 5) == (0, 1)
+    assert p_adic_valuation(12, 2) == (2, 3)
 
 
 def test_valuation_rejects_bad_input():
@@ -72,9 +95,9 @@ def test_valuation_rejects_bad_input():
 
 @given(st.integers(min_value=1, max_value=10**6), st.sampled_from([2, 3, 5, 7]))
 def test_valuation_recomposes(x, p):
-    v = p_adic_valuation(x, p)
-    assert p**v.exponent * v.cofactor == x
-    assert v.cofactor % p != 0
+    e, cofactor = p_adic_valuation(x, p)
+    assert p**e * cofactor == x
+    assert cofactor % p != 0
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +105,9 @@ def test_valuation_recomposes(x, p):
 
 
 def test_factorize_examples():
-    assert factorize(6).pairs == ((2, 1), (3, 1))
-    assert factorize(8).pairs == ((2, 3),)
-    assert factorize(360).pairs == ((2, 3), (3, 2), (5, 1))
+    assert factorize(6) == ((2, 1), (3, 1))
+    assert factorize(8) == ((2, 3),)
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
 
 
 def test_factorize_rejects_small():
@@ -97,9 +120,10 @@ def test_factorize_rejects_small():
 @given(st.integers(min_value=2, max_value=10**6))
 def test_factorize_recomposes(q):
     f = factorize(q)
-    assert math.prod(p**e for p, e in f.pairs) == q
-    assert list(f.primes()) == sorted(set(f.primes()))
-    for p in f.primes():
+    primes = [p for p, _ in f]
+    assert math.prod(p**e for p, e in f) == q
+    assert primes == sorted(set(primes))
+    for p in primes:
         assert is_prime(p)
 
 
