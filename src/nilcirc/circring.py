@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInput, ShapeMismatch
-from .numutil import check_int
+from .numutil import _check_int
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,8 @@ class CirculantElem:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        check_int("order", self.order, 1)
-        check_int("modulus", self.modulus, 2)
+        _check_int("order", self.order, 1)
+        _check_int("modulus", self.modulus, 2)
         if len(self.coeffs) != self.order:
             raise InvalidInput(
                 f"expected {self.order} coefficients, got {len(self.coeffs)}"
@@ -52,7 +52,7 @@ def identity(n: int, q: int) -> CirculantElem:
 
 def shift_power(n: int, q: int, s: int) -> CirculantElem:
     """The s-th power of the cyclic shift: a single 1 at index s mod n."""
-    check_int("s", s, 0)
+    _check_int("s", s, 0)
     coeffs = [0] * n
     coeffs[s % n] = 1 % q
     return CirculantElem(n, q, tuple(coeffs))
@@ -64,8 +64,8 @@ def geom_sum(n: int, m: int, q: int) -> CirculantElem:
     Coefficient j counts how many i in [0, m) land in residue class j mod n,
     which is floor(m/n) plus one when j < m mod n.
     """
-    check_int("n", n, 1)
-    check_int("m", m, 1)
+    _check_int("n", n, 1)
+    _check_int("m", m, 1)
     base, extra = divmod(m, n)
     coeffs = tuple((base + (1 if j < extra else 0)) % q for j in range(n))
     return CirculantElem(n, q, coeffs)
@@ -73,7 +73,7 @@ def geom_sum(n: int, m: int, q: int) -> CirculantElem:
 
 def multiples_indicator(n: int, q: int, step: int) -> CirculantElem:
     """Sum of S**c over all indices c in [0, n) divisible by step; needs step | n."""
-    check_int("step", step, 1)
+    _check_int("step", step, 1)
     if n % step != 0:
         raise InvalidInput(f"step {step} does not divide order {n}")
     coeffs = tuple((1 % q) if j % step == 0 else 0 for j in range(n))
@@ -120,7 +120,8 @@ def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
 
 def power(a: CirculantElem, k: int) -> CirculantElem:
     """a**k by square-and-multiply; k = 0 gives the identity."""
-    check_int("k", k, 0)
+    if k < 0:  # no upper bound: frobenius_check passes k = p**j, which may exceed 2**64
+        raise InvalidInput(f"k must be >= 0, got {k}")
     result = identity(a.order, a.modulus)
     base = a
     while k:

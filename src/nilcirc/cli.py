@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import circring, congruence, nilpotence, oracle
 from .errors import BudgetExceeded, InputError, InvalidPrime
-from .numutil import check_int, is_prime
+from .numutil import _check_int, is_prime
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -302,7 +302,7 @@ def _identities_random(args) -> int:
     if not is_prime(args.p):
         raise InvalidPrime(f"{args.p} is not prime")
     # Checked before the first draw, which builds n coefficients.
-    check_int("n", args.n, 1)
+    _check_int("n", args.n, 1)
     rng = random.Random(args.seed)
     trials = args.random_trials
     frob_pass = geo_pass = 0

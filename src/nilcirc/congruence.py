@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CoprimalityViolated, DivisibilityViolated
-from .numutil import check_int, pow_checked
+from .numutil import _check_int, pow_checked
 
 ENUM_BUDGET = 10**7
 
@@ -49,18 +49,18 @@ class Lemma1Instance:
 
 def validate(d: int, m_star: int, n_star: int, qvars: int, c: int = 0) -> Lemma1Instance:
     """Check the hypotheses and return the instance, with c reduced mod n."""
-    check_int("d", d, 2)
-    check_int("m_star", m_star, 1)
-    check_int("n_star", n_star, 1)
-    check_int("qvars", qvars, 1)
+    _check_int("d", d, 2)
+    _check_int("m_star", m_star, 1)
+    _check_int("n_star", n_star, 1)
+    _check_int("qvars", qvars, 1)
     if math.gcd(d, m_star) != 1:
         raise CoprimalityViolated(f"gcd(d={d}, m_star={m_star}) != 1")
     if math.gcd(d, n_star) != 1:
         raise CoprimalityViolated(f"gcd(d={d}, n_star={n_star}) != 1")
     if m_star % n_star != 0:
         raise DivisibilityViolated(f"n_star={n_star} does not divide m_star={m_star}")
-    check_int("m", d * m_star, 2)
-    n = check_int("n", pow_checked(d, qvars) * n_star, 1)
+    _check_int("m", d * m_star, 2)
+    n = _check_int("n", pow_checked(d, qvars) * n_star, 1)
     return Lemma1Instance(d, m_star, n_star, qvars, c % n)
 
 
@@ -91,9 +91,8 @@ def count_recursive(inst: Lemma1Instance) -> int:
     d, into the same problem with qvars - 1 variables and modulus n/d. The
     one-variable base case x_0 = c (mod n) has m/n solutions in [0, m).
     """
-    d, c, n, count = inst.d, inst.c, inst.n, 1
+    d, n, count = inst.d, inst.n, 1
     for _ in range(inst.qvars - 1):
-        n //= d
-        c = c // d % n  # (c - x_0) / d with x_0 = c mod d, reduced mod n/d
+        n //= d  # the new target (c - x_0) / d does not change the count
         count *= inst.m_star
     return count * (inst.m // n)

@@ -16,7 +16,7 @@ from typing import Optional
 from . import circring
 from .circring import CirculantElem
 from .errors import InvalidInput, InvalidPrime
-from .numutil import ceil_div, check_int, factorize, is_prime, p_adic_valuation, pow_checked
+from .numutil import _check_int, ceil_div, factorize, is_prime, p_adic_valuation, pow_checked
 
 
 class ZmClause(enum.Enum):
@@ -68,7 +68,7 @@ def index_formula(a: int, b: int, p: int) -> int:
     """ceil(p**a / (p**b - 1)) with checked arithmetic."""
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
-    check_int("b", b, 1)
+    _check_int("b", b, 1)
     return ceil_div(pow_checked(p, a), pow_checked(p, b) - 1)
 
 
@@ -78,7 +78,7 @@ def index_expansion(a: int, b: int, p: int) -> tuple[int, int, int]:
     Only defined for a >= b (one full division step); below that T itself is
     already zero and the expansion is bypassed.
     """
-    check_int("b", b, 1)
+    _check_int("b", b, 1)
     if a < b:
         raise InvalidInput(f"expansion needs a >= b, got a={a}, b={b}")
     qdiv, rdiv = divmod(a, b)
@@ -93,8 +93,8 @@ def decide_zp(n: int, m: int, p: int) -> ZpVerdict:
     The divisibility condition "n | m * p**k for some k" holds iff the p-free
     part of n divides the p-free part of m, which is what gets tested.
     """
-    check_int("n", n, 1)
-    check_int("m", m, 1)
+    _check_int("n", n, 1)
+    _check_int("m", m, 1)
     a, n_star = p_adic_valuation(n, p)  # also validates p
     b, m_star = p_adic_valuation(m, p)
     nilpotent = b >= 1 and m_star % n_star == 0
@@ -109,8 +109,8 @@ def decide_zp(n: int, m: int, p: int) -> ZpVerdict:
 
 def _zm_primes(n: int, m: int) -> tuple[int, ...]:
     """Check the arguments of a Z_m decision; return the primes dividing m."""
-    check_int("m", m, 2)
-    check_int("n", n, 1)
+    _check_int("m", m, 2)
+    _check_int("n", n, 1)
     return tuple(p for p, _ in factorize(m))
 
 

@@ -18,7 +18,7 @@ INT_LIMIT = 2**64 - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def check_int(name: str, value: int, lo: int) -> int:
+def _check_int(name: str, value: int, lo: int) -> int:
     """value, if it lies in [lo, INT_LIMIT]; the one range check of the library."""
     if value < lo:
         raise InvalidInput(f"{name} must be >= {lo}, got {value}")
@@ -58,7 +58,7 @@ def p_adic_valuation(x: int, p: int) -> tuple[int, int]:
     """(e, x / p**e) for the largest e with p**e | x, like divmod."""
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
-    check_int("x", x, 1)
+    _check_int("x", x, 1)
     e = 0
     while x % p == 0:
         x //= p
@@ -68,7 +68,7 @@ def p_adic_valuation(x: int, p: int) -> tuple[int, int]:
 
 def factorize(q: int) -> tuple[tuple[int, int], ...]:
     """(prime, exponent) pairs, primes increasing; trial division, q is desk-scale."""
-    check_int("q", q, 2)
+    _check_int("q", q, 2)
     pairs = []
     d = 2
     while d * d <= q:
@@ -86,15 +86,15 @@ def factorize(q: int) -> tuple[tuple[int, int], ...]:
 
 def ceil_div(a: int, b: int) -> int:
     """Ceiling of a/b for positive integers."""
-    check_int("b", b, 1)
-    check_int("a", a, 1)
+    _check_int("b", b, 1)
+    _check_int("a", a, 1)
     return -(-a // b)
 
 
 def pow_checked(base: int, exp: int) -> int:
     """base**exp, or Overflow if the exact value leaves the supported range."""
-    check_int("base", base, 0)
-    check_int("exp", exp, 0)
+    _check_int("base", base, 0)
+    _check_int("exp", exp, 0)
     if base > 1 and exp * math.log2(base) > 66:
         # log2 screen is conservative either way; the exact check below settles it.
         raise Overflow(f"{base}**{exp} exceeds the supported range")

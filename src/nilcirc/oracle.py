@@ -12,12 +12,12 @@ from typing import Optional
 from . import circring
 from .circring import CirculantElem
 from .errors import InvalidInput
-from .numutil import check_int, is_prime
+from .numutil import _check_int, is_prime
 
 
 def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
     """Smallest k in [1, bound] with a**k = 0, by iterated multiplication."""
-    check_int("bound", bound, 1)
+    _check_int("bound", bound, 1)
     acc = a
     for k in range(1, bound + 1):
         if circring.is_zero(acc):
@@ -30,7 +30,7 @@ def frobenius_check(a: CirculantElem, b: CirculantElem, k: int) -> bool:
     """x -> x**(p**k) must be a ring homomorphism in characteristic p."""
     if not is_prime(a.modulus):
         raise InvalidInput(f"modulus {a.modulus} is not prime")
-    check_int("k", k, 0)
+    _check_int("k", k, 0)
     e = a.modulus**k
     additive = circring.power(circring.add(a, b), e) == circring.add(
         circring.power(a, e), circring.power(b, e)

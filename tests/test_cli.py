@@ -422,6 +422,15 @@ def test_identities_random_n_beyond_int_limit_is_overflow(capsys):
     assert "Overflow" in err
 
 
+def test_identities_random_large_prime(capsys):
+    # p above 2**32: a trial with k = 2 powers by p**2, which is above 2**64
+    code, out, err = run(
+        capsys, "identities", "--random-trials", "8", "--p", "4294967311", "--n", "3",
+    )
+    assert (code, err) == (0, "")
+    assert "frobenius    pass (8/8)" in out
+
+
 def test_identities_random_composite_p(capsys):
     code, _, err = run(capsys, "identities", "--random-trials", "5", "--p", "4", "--n", "3")
     assert code == 3

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,7 @@ from nilcirc.oracle import min_nilpotent_index
 
 
 # ---------------------------------------------------------------------------
-# the integer domain, checked by numutil.check_int at every entry point
+# the integer domain, checked by numutil._check_int at every entry point
 
 # One entry point per module: a call with one parameter set to the given value.
 _DOMAIN_CASES = {
@@ -37,8 +38,11 @@ def test_domain_contract(entry):
     name, lo, call = _DOMAIN_CASES[entry]
     with pytest.raises(InvalidInput, match=f"^{name} must be >= {lo}, got {lo - 1}$"):
         call(lo - 1)
+    # refused at once, before any work sized by the value (geom_sum would hang)
+    start = time.perf_counter()
     with pytest.raises(Overflow):
         call(2**64)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

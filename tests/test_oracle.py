@@ -48,6 +48,15 @@ def test_frobenius_examples():
         assert frobenius_check(a, b, 2)
 
 
+def test_frobenius_exponent_beyond_int_limit():
+    # e = p**k leaves [1, 2**64 - 1] although p and k lie inside it; power takes any e
+    a = circring.CirculantElem(3, 2, (1, 1, 0))
+    assert frobenius_check(a, circring.shift_power(3, 2, 1), 64)
+    p = 2**61 - 1
+    a = circring.CirculantElem(3, p, (1, 2, 3))
+    assert frobenius_check(a, circring.CirculantElem(3, p, (4, 5, 6)), 2)
+
+
 def test_frobenius_rejects_composite_modulus():
     with pytest.raises(InvalidInput):
         frobenius_check(circring.identity(4, 6), circring.identity(4, 6), 1)
