@@ -120,8 +120,7 @@ def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
 
 def power(a: CirculantElem, k: int) -> CirculantElem:
     """a**k by square-and-multiply; k = 0 gives the identity."""
-    if k < 0:  # no upper bound: frobenius_check passes k = p**j, which may exceed 2**64
-        raise InvalidInput(f"k must be >= 0, got {k}")
+    _check_int("k", k, 0)
     result = identity(a.order, a.modulus)
     base = a
     while k:

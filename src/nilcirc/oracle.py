@@ -31,13 +31,14 @@ def frobenius_check(a: CirculantElem, b: CirculantElem, k: int) -> bool:
     if not is_prime(a.modulus):
         raise InvalidInput(f"modulus {a.modulus} is not prime")
     _check_int("k", k, 0)
-    e = a.modulus**k
-    additive = circring.power(circring.add(a, b), e) == circring.add(
-        circring.power(a, e), circring.power(b, e)
-    )
-    multiplicative = circring.power(circring.mul(a, b), e) == circring.mul(
-        circring.power(a, e), circring.power(b, e)
-    )
+
+    def frob(x: CirculantElem) -> CirculantElem:
+        for _ in range(k):  # x**(p**k) in k steps: p**k may leave the integer domain
+            x = circring.power(x, a.modulus)
+        return x
+
+    additive = frob(circring.add(a, b)) == circring.add(frob(a), frob(b))
+    multiplicative = frob(circring.mul(a, b)) == circring.mul(frob(a), frob(b))
     return additive and multiplicative
 
 

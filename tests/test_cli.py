@@ -423,7 +423,7 @@ def test_identities_random_n_beyond_int_limit_is_overflow(capsys):
 
 
 def test_identities_random_large_prime(capsys):
-    # p above 2**32: a trial with k = 2 powers by p**2, which is above 2**64
+    # p above 2**32: a trial with k = 2 checks x -> x**(p**2), and p**2 is above 2**64
     code, out, err = run(
         capsys, "identities", "--random-trials", "8", "--p", "4294967311", "--n", "3",
     )

@@ -49,7 +49,7 @@ def test_frobenius_examples():
 
 
 def test_frobenius_exponent_beyond_int_limit():
-    # e = p**k leaves [1, 2**64 - 1] although p and k lie inside it; power takes any e
+    # p**k leaves [1, 2**64 - 1] although p and k lie inside it
     a = circring.CirculantElem(3, 2, (1, 1, 0))
     assert frobenius_check(a, circring.shift_power(3, 2, 1), 64)
     p = 2**61 - 1
