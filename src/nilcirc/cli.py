@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import io
 import itertools
 import json
 import os
 import random
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from typing import Optional
 
 from . import circring, congruence, nilpotence, oracle
@@ -57,26 +57,16 @@ def _eval_cell(task) -> dict:
     return cell
 
 
-def _run_cells(tasks: list, jobs: int) -> list[dict]:
-    """Evaluate the cells in task order."""
-    if jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_eval_cell, tasks, chunksize=chunk))
-    return [_eval_cell(t) for t in tasks]
-
-
-def _summarize(cells: list[dict], verify: bool) -> dict:
-    summary = {
-        "cells": len(cells),
-        "nilpotent": sum(1 for c in cells if c["nilpotent"]),
-        "disagreements": [
-            {"n": c["n"], "m": c["m"]} for c in cells if c.get("agree") is False
-        ],
-    }
-    if verify:
-        summary["agreements"] = sum(1 for c in cells if c.get("agree") is True)
-    return summary
+def _tally(cells, summary: dict):
+    """Pass the cells through, adding each to the summary counters."""
+    for cell in cells:
+        summary["nilpotent"] += cell["nilpotent"]
+        agree = cell.get("agree")  # None when the scan does not verify
+        if agree:
+            summary["agreements"] += 1
+        elif agree is False:
+            summary["disagreements"].append({"n": cell["n"], "m": cell["m"]})
+        yield cell
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +80,6 @@ def _csv_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     return v
-
-
-def _render_csv(cells: list[dict], columns: tuple[str, ...]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for c in cells:
-        writer.writerow([_csv_value(c.get(k)) for k in columns])
-    return out.getvalue()
 
 
 def _render_scan_human(par: dict, s: dict) -> str:
@@ -121,12 +102,19 @@ def _render_scan_human(par: dict, s: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_json_array(out, items, pad: str) -> None:
+    """Stream a non-empty array with the bytes of json.dumps(list, indent=2).
+
+    Each line after the first is prefixed with pad. The items go 64 per
+    json.dumps call (one call per item is about 15 % slower); [2:-2] drops each
+    batch's brackets.
+    """
+    items = iter(items)
+    sep = "[\n"
+    while batch := list(itertools.islice(items, 64)):
+        out.write(sep + pad + json.dumps(batch, indent=2)[2:-2].replace("\n", "\n" + pad))
+        sep = ",\n"
+    out.write("\n" + pad + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -182,44 +170,45 @@ def cmd_scan(args) -> int:
         if not is_prime(args.p):
             raise InvalidPrime(f"{args.p} is not prime")
         p = parameters["p"] = args.p
-    tasks = [
+    tasks = (
         (n, m, p, args.verify)
         for n in range(1, args.n_max + 1)
         for m in range(m_lo, args.m_max + 1)
-    ]
+    )
+    total = args.n_max * (args.m_max - m_lo + 1)
+    summary = {"cells": total, "nilpotent": 0, "disagreements": []}
+    if args.verify:
+        summary["agreements"] = 0
     # Only the oracle is worth a process pool: a closed-form cell costs a few
     # microseconds, less than shipping it to a worker and back.
-    jobs = (args.jobs or os.cpu_count() or 1) if args.verify else 1
-    cells = _run_cells(tasks, jobs)
-    summary = _summarize(cells, args.verify)
+    jobs = (args.jobs or os.cpu_count() or 1) if args.verify and total > 1 else 1
 
-    if args.format == "csv":
-        text = _render_csv(cells, _CSV_COLUMNS[mode])
-    elif args.format == "json":
-        report = {"parameters": parameters, "cells": cells, "summary": summary}
-        text = json.dumps(report, indent=2) + "\n"
-    else:
-        text = _render_scan_human(parameters, summary)
-    _emit(text, args.out)
+    # Each cell is tallied and written as it is decided; nothing holds the grid.
+    with (
+        open(args.out, "w") if args.out else nullcontext(sys.stdout) as out,
+        ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool,
+    ):
+        if pool is None:
+            cells = map(_eval_cell, tasks)
+        else:
+            cells = pool.map(_eval_cell, tasks, chunksize=max(1, total // (jobs * 4)))
+        cells = _tally(cells, summary)
+        if args.format == "csv":
+            columns = _CSV_COLUMNS[mode]
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(columns)
+            for c in cells:
+                writer.writerow([_csv_value(c.get(k)) for k in columns])
+        elif args.format == "json":
+            # The bytes of json.dumps(report, indent=2), framed around the cells.
+            out.write(json.dumps({"parameters": parameters}, indent=2)[:-2] + ',\n  "cells": ')
+            _write_json_array(out, cells, "  ")
+            out.write(",\n" + json.dumps({"summary": summary}, indent=2)[2:] + "\n")
+        else:
+            for _ in cells:  # the summary needs every cell
+                pass
+            out.write(_render_scan_human(parameters, summary))
     return EXIT_DISAGREE if summary["disagreements"] else EXIT_OK
-
-
-def _lemma1_reports(inst, closed: int, targets, hist):
-    """One report per target, produced as soon as it is counted."""
-    for c in targets:
-        inst_c = dataclasses.replace(inst, c=c)
-        rec = congruence.count_recursive(inst_c)
-        entry = {
-            "instance": inst_c.to_json_dict(),
-            "closed_form": closed,
-            "recursive": rec,
-        }
-        agree = rec == closed
-        if hist is not None:
-            entry["enumerated"] = hist[c]
-            agree = agree and hist[c] == closed
-        entry["agree"] = agree
-        yield entry
 
 
 def cmd_lemma1(args) -> int:
@@ -236,36 +225,41 @@ def cmd_lemma1(args) -> int:
     else:
         targets = range(inst.n)
     hist = congruence.counts_by_target(inst) if args.enumerate else None
+    # The recursion does not read c, so one count serves every target.
+    rec = congruence.count_recursive(inst)
+    instance = inst.to_json_dict()  # each report replaces only "c", in place
 
-    reports = _lemma1_reports(inst, closed, targets, hist)
-    all_agree = True
+    def agrees(c: int) -> bool:
+        return rec == closed and (hist is None or hist[c] == closed)
+
+    def report(c: int) -> dict:
+        entry = {
+            "instance": {**instance, "c": c},
+            "closed_form": closed,
+            "recursive": rec,
+        }
+        if hist is not None:
+            entry["enumerated"] = hist[c]
+        entry["agree"] = agrees(c)
+        return entry
+
+    all_agree = all(map(agrees, targets))
     if args.json and args.c is not None:
-        report = next(reports)
-        print(json.dumps(report, indent=2))
-        all_agree = report["agree"]
+        print(json.dumps(report(inst.c), indent=2))
     elif args.json:
-        # The array is framed by hand so that it streams, 64 reports per
-        # json.dumps call (one call per report is about 15 % slower); [2:-2]
-        # drops each batch's own brackets, so the bytes are those of
-        # json.dumps(list, indent=2).
-        sep = "[\n"
-        while batch := list(itertools.islice(reports, 64)):
-            sys.stdout.write(sep + json.dumps(batch, indent=2)[2:-2])
-            sep = ",\n"
-            all_agree = all_agree and all(r["agree"] for r in batch)
-        print("\n]")
+        _write_json_array(sys.stdout, map(report, targets), "")
+        print()
     else:
         print(
             f"instance d={inst.d} m*={inst.m_star} n*={inst.n_star} q={inst.qvars}"
             f" (m={inst.m}, n={inst.n}): closed form {closed}"
         )
-        for r in reports:
+        for r in map(report, targets):
             parts = [f"c={r['instance']['c']}: recursive {r['recursive']}"]
             if "enumerated" in r:
                 parts.append(f"enumerated {r['enumerated']}")
             parts.append("agree" if r["agree"] else "DISAGREE")
             print(", ".join(parts))
-            all_agree = all_agree and r["agree"]
         print("all agree" if all_agree else "DISAGREEMENT detected")
     return EXIT_OK if all_agree else EXIT_DISAGREE
 
@@ -415,6 +409,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # A reader that closes the pipe ends the process quietly, like any filter.
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

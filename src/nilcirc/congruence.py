@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import BudgetExceeded, CoprimalityViolated, DivisibilityViolated
 from .numutil import _check_int, pow_checked
@@ -36,15 +36,7 @@ class Lemma1Instance:
         return self.d**self.qvars * self.n_star
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "m_star": self.m_star,
-            "n_star": self.n_star,
-            "qvars": self.qvars,
-            "c": self.c,
-            "m": self.m,
-            "n": self.n,
-        }
+        return {**asdict(self), "m": self.m, "n": self.n}
 
 
 def validate(d: int, m_star: int, n_star: int, qvars: int, c: int = 0) -> Lemma1Instance:

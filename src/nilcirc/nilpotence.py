@@ -16,7 +16,7 @@ from typing import Optional
 from . import circring
 from .circring import CirculantElem
 from .errors import InvalidInput, InvalidPrime
-from .numutil import _check_int, ceil_div, factorize, is_prime, p_adic_valuation, pow_checked
+from .numutil import _check_int, factorize, is_prime, p_adic_valuation, pow_checked
 
 
 class ZmClause(enum.Enum):
@@ -51,13 +51,7 @@ class ZmVerdict:
     per_prime: tuple[ZpVerdict, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "nilpotent": self.nilpotent,
-            "clause": self.clause.value,
-            "per_prime": [v.to_json_dict() for v in self.per_prime],
-        }
+        return {**asdict(self), "clause": self.clause.value}
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +59,11 @@ class ZmVerdict:
 
 
 def index_formula(a: int, b: int, p: int) -> int:
-    """ceil(p**a / (p**b - 1)) with checked arithmetic."""
+    """ceil(p**a / (p**b - 1)) with checked arithmetic; both operands are >= 1."""
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
     _check_int("b", b, 1)
-    return ceil_div(pow_checked(p, a), pow_checked(p, b) - 1)
+    return -(-pow_checked(p, a) // (pow_checked(p, b) - 1))
 
 
 def index_expansion(a: int, b: int, p: int) -> tuple[int, int, int]:

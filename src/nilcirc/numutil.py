@@ -84,13 +84,6 @@ def factorize(q: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def ceil_div(a: int, b: int) -> int:
-    """Ceiling of a/b for positive integers."""
-    _check_int("b", b, 1)
-    _check_int("a", a, 1)
-    return -(-a // b)
-
-
 def pow_checked(base: int, exp: int) -> int:
     """base**exp, or Overflow if the exact value leaves the supported range."""
     _check_int("base", base, 0)

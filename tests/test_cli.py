@@ -1,4 +1,8 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -228,6 +232,30 @@ def test_scan_zm_without_verify_leaves_oracle_columns_empty(capsys):
         assert line.endswith(",,")
 
 
+class Discard:
+    """A stdout that keeps nothing, so tracemalloc sees only the program's memory."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+def test_scan_streams(monkeypatch, fmt):
+    # 10000 cells: the scan must not hold one cell, row or string per cell
+    monkeypatch.setattr("sys.stdout", Discard())
+    tracemalloc.start()
+    try:
+        code = main(["scan", "--p", "2", "--n-max", "100", "--m-max", "100", "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
+
+
 def test_scan_disagreement_exits_one(capsys, monkeypatch):
     # force the oracle to miss every nilpotent cell; the scan must exit 1
     monkeypatch.setattr(cli.oracle, "min_nilpotent_index", lambda a, bound: None)
@@ -324,13 +352,6 @@ def test_lemma1_m_beyond_int_limit_is_overflow(capsys):
 
 def test_lemma1_all_targets_streams(monkeypatch):
     # 4096 targets: the sweep must not hold one report per target
-    class Discard:
-        def write(self, text):
-            return len(text)
-
-        def flush(self):
-            pass
-
     monkeypatch.setattr("sys.stdout", Discard())
     tracemalloc.start()
     try:
@@ -344,11 +365,15 @@ def test_lemma1_all_targets_streams(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--d", "3", "--m-star", "2", "--n-star", "1", "--q", "2", "--enumerate"),
-    ("--d", "2", "--m-star", "1", "--n-star", "1", "--q", "8"),  # several batches
+    ("lemma1", "--d", "3", "--m-star", "2", "--n-star", "1", "--q", "2", "--enumerate",
+     "--json"),
+    ("lemma1", "--d", "2", "--m-star", "1", "--n-star", "1", "--q", "8", "--json"),  # batches
+    ("scan", "--p", "2", "--n-max", "4", "--m-max", "4", "--format", "json"),  # one batch
+    ("scan", "--zm", "--n-max", "9", "--m-max", "9", "--verify", "--format", "json",
+     "--jobs", "1"),  # 72 cells, two batches
 ])
 def test_lemma1_streamed_json_matches_json_dumps(capsys, argv):
-    code, out, _ = run(capsys, "lemma1", *argv, "--json")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
@@ -448,3 +473,20 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_pipe_ends_quietly():
+    # The reader takes one line of a 65536-target sweep, far more than a pipe
+    # buffers, and closes the pipe: no traceback, and not the disagreement exit.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilcirc.cli", "lemma1", "--d", "2", "--m-star", "1",
+         "--n-star", "1", "--q", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"instance ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""

@@ -11,7 +11,6 @@ from nilcirc.errors import InvalidInput, InvalidPrime, Overflow
 from nilcirc.nilpotence import decide_zm
 from nilcirc.numutil import (
     INT_LIMIT,
-    ceil_div,
     factorize,
     is_prime,
     p_adic_valuation,
@@ -129,29 +128,6 @@ def test_factorize_recomposes(q):
     assert primes == sorted(set(primes))
     for p in primes:
         assert is_prime(p)
-
-
-# ---------------------------------------------------------------------------
-# ceil_div
-
-
-def test_ceil_div_examples():
-    assert ceil_div(8, 1) == 8
-    assert ceil_div(9, 2) == 5
-    assert ceil_div(1, 7) == 1
-
-
-def test_ceil_div_rejects_nonpositive():
-    with pytest.raises(InvalidInput):
-        ceil_div(8, 0)
-    with pytest.raises(InvalidInput):
-        ceil_div(0, 3)
-
-
-@given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=10**9))
-def test_ceil_div_is_unique_bound(a, b):
-    k = ceil_div(a, b)
-    assert (k - 1) * b < a <= k * b
 
 
 # ---------------------------------------------------------------------------
