@@ -16,7 +16,6 @@ import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from typing import Optional
 
 from . import circring, congruence, nilpotence, oracle
 from .errors import BudgetExceeded, InputError, InvalidPrime
@@ -157,6 +156,9 @@ def cmd_decide(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.zm and args.m_max < 2:  # the one range rule that argparse types cannot see
+        print(f"error: --m-max leaves the m range empty (got {args.m_max})", file=sys.stderr)
+        return EXIT_USAGE
     mode = "zm" if args.zm else "zp"
     m_lo = 2 if args.zm else 1
     parameters = {
@@ -179,13 +181,19 @@ def cmd_scan(args) -> int:
     summary = {"cells": total, "nilpotent": 0, "disagreements": []}
     if args.verify:
         summary["agreements"] = 0
-    # Only the oracle is worth a process pool: a closed-form cell costs a few
-    # microseconds, less than shipping it to a worker and back.
-    jobs = (args.jobs or os.cpu_count() or 1) if args.verify and total > 1 else 1
+    # Only the oracle is worth a process pool (a closed-form cell costs less than
+    # shipping it to a worker and back), and never more workers than CPUs or cells.
+    cpu = os.cpu_count() or 1
+    jobs = min(args.jobs or cpu, cpu, total) if args.verify else 1
 
+    try:  # opened last, so a rejected input leaves an existing file untouched
+        sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot open --out: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     # Each cell is tallied and written as it is decided; nothing holds the grid.
     with (
-        open(args.out, "w") if args.out else nullcontext(sys.stdout) as out,
+        sink as out,
         ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool,
     ):
         if pool is None:
@@ -266,12 +274,11 @@ def cmd_lemma1(args) -> int:
 
 def _identities_point(args) -> int:
     # The witness raises InvalidInput where the identities do not apply.
-    elem, matches = nilpotence.witness_nonvanishing(args.n, args.m, args.p)
-    verdict = nilpotence.decide_zp(args.n, args.m, args.p)
-    _, _, expanded = nilpotence.index_expansion(verdict.a, verdict.b, args.p)
-    results = [("expansion", expanded == verdict.index)]
+    v, elem, matches, annihilates = nilpotence.witness_nonvanishing(args.n, args.m, args.p)
+    expanded = nilpotence.index_expansion(v.a, v.b, args.p)
+    results = [("expansion", expanded == v.index)]
     results.append(("witness", matches and not circring.is_zero(elem)))
-    results.append(("annihilation", nilpotence.annihilation_check(args.n, args.m, args.p)))
+    results.append(("annihilation", annihilates))
     rng = random.Random(args.seed)
     frob_ok = all(
         oracle.frobenius_check(
@@ -322,6 +329,14 @@ def cmd_identities(args) -> int:
 # parser and entry point
 
 
+def count(text: str) -> int:
+    """argparse type of the range flags: an integer in [1, 2**64 - 1], else exit 2."""
+    try:
+        return _check_int("value", int(text), 1)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilcirc",
@@ -345,11 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_scan.add_mutually_exclusive_group(required=True)
     mode.add_argument("--p", type=int)
     mode.add_argument("--zm", action="store_true")
-    p_scan.add_argument("--n-max", type=int, default=32)
-    p_scan.add_argument("--m-max", type=int, default=32)
+    p_scan.add_argument("--n-max", type=count, default=32)
+    p_scan.add_argument("--m-max", type=count, default=32)
     p_scan.add_argument("--verify", action="store_true", help="attach oracle checks")
     p_scan.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    p_scan.add_argument("--jobs", type=int, default=None)
+    p_scan.add_argument("--jobs", type=count, default=None)
     p_scan.add_argument("--out", default=None, help="write output to a file")
     p_scan.set_defaults(func=cmd_scan)
 
@@ -368,27 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--p", type=int, required=True)
     mode = p_id.add_mutually_exclusive_group(required=True)
     mode.add_argument("--m", type=int, default=None)
-    mode.add_argument("--random-trials", type=int, default=None)
+    mode.add_argument("--random-trials", type=count, default=None)
     p_id.add_argument("--seed", type=int, default=0)
     p_id.set_defaults(func=cmd_identities)
 
     return parser
-
-
-def _validate_ranges(args) -> Optional[str]:
-    if args.command == "scan":
-        if args.n_max < 1:
-            return "--n-max must be >= 1"
-        if args.m_max < (2 if args.zm else 1):
-            return f"--m-max leaves the m range empty (got {args.m_max})"
-        if args.jobs is not None and args.jobs < 1:
-            return "--jobs must be >= 1"
-    if args.command == "identities":
-        if args.n < 1:
-            return "--n must be >= 1"
-        if args.random_trials is not None and args.random_trials < 1:
-            return "--random-trials must be >= 1"
-    return None
 
 
 def main(argv=None) -> int:
@@ -397,10 +396,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors as exit 2
         return int(exc.code or 0)
-    problem = _validate_ranges(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except InputError as exc:

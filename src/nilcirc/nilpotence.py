@@ -66,7 +66,7 @@ def index_formula(a: int, b: int, p: int) -> int:
     return -(-pow_checked(p, a) // (pow_checked(p, b) - 1))
 
 
-def index_expansion(a: int, b: int, p: int) -> tuple[int, int, int]:
+def index_expansion(a: int, b: int, p: int) -> int:
     """The same index as p**r * (1 + p**b + ... + p**(b*(q-1))) + 1, a = b*q + r.
 
     Only defined for a >= b (one full division step); below that T itself is
@@ -77,8 +77,7 @@ def index_expansion(a: int, b: int, p: int) -> tuple[int, int, int]:
         raise InvalidInput(f"expansion needs a >= b, got a={a}, b={b}")
     qdiv, rdiv = divmod(a, b)
     geo = sum(pow_checked(p, b * i) for i in range(qdiv))
-    value = pow_checked(p, rdiv) * geo + 1
-    return qdiv, rdiv, value
+    return pow_checked(p, rdiv) * geo + 1
 
 
 def decide_zp(n: int, m: int, p: int) -> ZpVerdict:
@@ -141,7 +140,14 @@ def decide_zm_via_primes(n: int, m: int) -> ZmVerdict:
 # executable proof steps
 
 
-def _nilpotent_verdict_with_split(n: int, m: int, p: int) -> ZpVerdict:
+def witness_nonvanishing(n: int, m: int, p: int) -> tuple[ZpVerdict, CirculantElem, bool, bool]:
+    """Both sides of the index's tightness, from one verdict and one T.
+
+    Below: T**(index-1) is compared with its predicted closed form, the
+    indicator of multiples of p**r scaled by m_star**q / n_star (an exact
+    integer, nonzero mod p), with a = b*q + r. Above: that indicator times T
+    must be zero mod p. Returns (verdict, power, matches, annihilates).
+    """
     v = decide_zp(n, m, p)
     if not v.nilpotent:
         raise InvalidInput(f"not applicable: T(n={n}, m={m}) is not nilpotent over Z_{p}")
@@ -151,32 +157,11 @@ def _nilpotent_verdict_with_split(n: int, m: int, p: int) -> ZpVerdict:
             f"not applicable: a={v.a} < b={v.b}, T is already zero"
             " and the expansion is bypassed"
         )
-    return v
-
-
-def witness_nonvanishing(n: int, m: int, p: int) -> tuple[CirculantElem, bool]:
-    """T**(index-1) against its predicted closed form.
-
-    The prediction is the indicator of multiples of p**r, scaled by
-    m_star**q / n_star (an exact integer, nonzero mod p), with a = b*q + r.
-    Returns the computed power and whether it matches the prediction.
-    """
-    v = _nilpotent_verdict_with_split(n, m, p)
     qdiv, rdiv = divmod(v.a, v.b)
     t = circring.geom_sum(n, m, p)
     computed = circring.power(t, v.index - 1)
-    scale = pow_checked(v.m_star, qdiv) // v.n_star
-    predicted = circring.scalar_mul(
-        scale, circring.multiples_indicator(n, p, pow_checked(p, rdiv))
-    )
-    return computed, computed == predicted
-
-
-def annihilation_check(n: int, m: int, p: int) -> bool:
-    """The indicator of multiples of p**r kills T: their product is zero mod p."""
-    v = _nilpotent_verdict_with_split(n, m, p)
-    rdiv = v.a % v.b
     indicator = circring.multiples_indicator(n, p, pow_checked(p, rdiv))
-    t = circring.geom_sum(n, m, p)
-    return circring.is_zero(circring.mul(indicator, t))
-
+    scale = pow_checked(v.m_star, qdiv) // v.n_star
+    predicted = circring.scalar_mul(scale, indicator)
+    annihilates = circring.is_zero(circring.mul(indicator, t))
+    return v, computed, computed == predicted, annihilates

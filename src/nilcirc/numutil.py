@@ -23,7 +23,7 @@ def _check_int(name: str, value: int, lo: int) -> int:
     if value < lo:
         raise InvalidInput(f"{name} must be >= {lo}, got {value}")
     if value > INT_LIMIT:
-        raise Overflow(f"{name}={value} is outside the supported range")
+        raise Overflow(f"{name}={value} is above the limit 2**64 - 1")
     return value
 
 

@@ -77,7 +77,7 @@ def test_criterion_4_identity_suite():
     for p in PRIMES:
         for b in range(1, 5):
             for a in range(b, 13):
-                _, _, value = nilpotence.index_expansion(a, b, p)
+                value = nilpotence.index_expansion(a, b, p)
                 assert value == nilpotence.index_formula(a, b, p), (a, b, p)
 
     checked = 0
@@ -87,10 +87,11 @@ def test_criterion_4_identity_suite():
                 verdict = nilpotence.decide_zp(n, m, p)
                 if not verdict.nilpotent or verdict.a < verdict.b:
                     continue
-                elem, matches = nilpotence.witness_nonvanishing(n, m, p)
+                v, elem, matches, annihilates = nilpotence.witness_nonvanishing(n, m, p)
+                assert v == verdict, (n, m, p)
                 assert matches, (n, m, p)
                 assert not circring.is_zero(elem), (n, m, p)
-                assert nilpotence.annihilation_check(n, m, p), (n, m, p)
+                assert annihilates, (n, m, p)
                 checked += 1
     assert checked > 100
 

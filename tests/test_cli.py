@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcirc import cli, nilpotence
+from nilcirc import circring, cli, nilpotence
 from nilcirc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -149,6 +149,25 @@ def test_scan_empty_range_rejected(capsys):
     assert "empty" in err or "n-max" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--p", "2", "--n-max", "1", "--m-max", str(2**70)),  # would walk 2**70 cells
+    ("scan", "--p", "2", "--n-max", "2", "--jobs", str(2**64)),
+    ("identities", "--n", "3", "--p", "2", "--random-trials", str(2**64)),
+])
+def test_range_flag_above_limit_is_usage_error(argv):
+    # A subprocess, so a run that ignores the bound is cut off instead of hanging.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilcirc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {argv[-2]}: value={argv[-1]} is above the limit 2**64 - 1" in proc.stderr
+
+
 def test_scan_zm_m_max_below_two_rejected(capsys):
     code, _, _ = run(capsys, "scan", "--zm", "--m-max", "1")
     assert code == 2
@@ -163,6 +182,25 @@ def test_scan_composite_p_is_bad_input(capsys):
     code, _, err = run(capsys, "scan", "--p", "6", "--n-max", "4", "--m-max", "4")
     assert code == 3
     assert "InvalidPrime" in err
+
+
+def test_scan_unopenable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.csv"
+    code, out, err = run(capsys, "scan", "--p", "2", "--n-max", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot open --out: ")
+    assert not target.parent.exists()
+
+
+def test_scan_rejected_input_leaves_out_file(tmp_path, capsys):
+    # --out is opened (and truncated) only after every other check
+    target = tmp_path / "report.csv"
+    target.write_bytes(b"earlier report\n")
+    code, _, err = run(capsys, "scan", "--p", "6", "--n-max", "2", "--out", str(target))
+    assert code == 3
+    assert "InvalidPrime" in err
+    assert target.read_bytes() == b"earlier report\n"
 
 
 def test_scan_json_round_trips(capsys):
@@ -207,6 +245,34 @@ def test_scan_closed_form_never_starts_pool(capsys, monkeypatch):
             capsys, "scan", *mode, "--n-max", "8", "--m-max", "8", "--jobs", "2",
         )
         assert code == 0
+
+
+def test_scan_jobs_capped_at_cpus_and_cells(capsys, monkeypatch):
+    # Never starts real workers: the pool records its size and maps in-process.
+    started = []
+
+    class RecordingPool:
+        def __init__(self, workers):
+            started.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    grid = ("scan", "--p", "2", "--n-max", "4", "--m-max", "4", "--verify")
+    assert run(capsys, *grid, "--jobs", "64")[0] == 0
+    assert run(capsys, *grid)[0] == 0
+    assert started == [2, 2]
+    one_cell = ("scan", "--p", "2", "--n-max", "1", "--m-max", "1", "--verify")
+    assert run(capsys, *one_cell, "--jobs", "64")[0] == 0
+    assert started == [2, 2]  # a single cell starts no pool
 
 
 def test_scan_out_file(tmp_path, capsys):
@@ -408,6 +474,35 @@ def test_identities_point_pass(capsys):
     assert code == 0
     for name in ("expansion", "witness", "annihilation", "frobenius", "geometric"):
         assert any(line.startswith(name) and line.endswith("pass") for line in out.splitlines())
+
+
+def test_identities_point_decides_once(capsys, monkeypatch):
+    calls = {"decide_zp": 0, "geom_sum": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(nilpotence, "decide_zp")
+    counting(circring, "geom_sum")
+    code, _, _ = run(capsys, "identities", "--n", "8", "--m", "2", "--p", "2")
+    assert code == 0
+    # one T for the witness and annihilation, one for the oracle's geometric check
+    assert calls == {"decide_zp": 1, "geom_sum": 2}
+
+
+@pytest.mark.parametrize("mode", [("--m", "2"), ("--random-trials", "1")])
+def test_identities_n_below_one_is_bad_input(capsys, mode):
+    # --n is a mathematical parameter: the library rejects it, as for decide
+    code, out, err = run(capsys, "identities", "--n", "0", "--p", "2", *mode)
+    assert code == 3
+    assert out == ""
+    assert err == "error: InvalidInput: n must be >= 1, got 0\n"
 
 
 def test_identities_random_mode(capsys):

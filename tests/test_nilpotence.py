@@ -6,7 +6,6 @@ from nilcirc import circring
 from nilcirc.errors import InvalidInput, InvalidPrime
 from nilcirc.nilpotence import (
     ZmClause,
-    annihilation_check,
     decide_zm,
     decide_zm_via_primes,
     decide_zp,
@@ -95,9 +94,9 @@ def test_index_formula_rejects_bad_input():
 
 
 def test_index_expansion_examples():
-    assert index_expansion(3, 1, 2) == (3, 0, 8)
-    assert index_expansion(2, 1, 3) == (2, 0, 5)
-    assert index_expansion(3, 2, 2) == (1, 1, 3)
+    assert index_expansion(3, 1, 2) == 8
+    assert index_expansion(2, 1, 3) == 5
+    assert index_expansion(3, 2, 2) == 3
 
 
 def test_index_expansion_requires_full_division_step():
@@ -111,9 +110,7 @@ def test_expansion_equals_formula():
     for p in (2, 3, 5, 7):
         for b in range(1, 5):
             for a in range(b, 13):
-                qdiv, rdiv, value = index_expansion(a, b, p)
-                assert a == b * qdiv + rdiv and 0 <= rdiv < b
-                assert value == index_formula(a, b, p)
+                assert index_expansion(a, b, p) == index_formula(a, b, p)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +196,8 @@ def test_zm_json_schema():
 
 def test_witness_examples():
     for n, m, p in [(8, 2, 2), (9, 3, 3), (4, 2, 2)]:
-        elem, matches = witness_nonvanishing(n, m, p)
+        v, elem, matches, _ = witness_nonvanishing(n, m, p)
+        assert v == decide_zp(n, m, p)
         assert matches
         assert elem.coeffs == (1,) * n  # these three cases have r=0, scale 1
         assert not circring.is_zero(elem)
@@ -207,10 +205,9 @@ def test_witness_examples():
 
 def test_witness_with_nonzero_remainder():
     # n=8, m=4, p=2: a=3, b=2, so a = 2*1 + 1 and the step is p**1 = 2
-    v = decide_zp(8, 4, 2)
+    v, elem, matches, annihilates = witness_nonvanishing(8, 4, 2)
     assert divmod(v.a, v.b) == (1, 1)
-    elem, matches = witness_nonvanishing(8, 4, 2)
-    assert matches
+    assert matches and annihilates
     assert elem == circring.multiples_indicator(8, 2, 2)
 
 
@@ -220,13 +217,13 @@ def test_witness_precondition_errors():
     with pytest.raises(InvalidInput):
         witness_nonvanishing(2, 4, 2)  # a=1 < b=2
     with pytest.raises(InvalidInput):
-        annihilation_check(4, 6, 3)
+        witness_nonvanishing(1, 2, 2)  # a=0 < b=1
 
 
 def test_annihilation_examples():
-    assert annihilation_check(8, 2, 2)
-    assert annihilation_check(9, 3, 3)
-    assert annihilation_check(4, 2, 2)
+    for n, m, p in [(8, 2, 2), (9, 3, 3), (4, 2, 2)]:
+        _, _, _, annihilates = witness_nonvanishing(n, m, p)
+        assert annihilates
 
 
 def test_witness_power_annihilates():
