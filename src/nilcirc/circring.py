@@ -8,6 +8,8 @@ canonical in [0, q).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import InvalidInput, ShapeMismatch
@@ -27,7 +29,8 @@ class CirculantElem:
             raise InvalidInput(
                 f"expected {self.order} coefficients, got {len(self.coeffs)}"
             )
-        if any(c < 0 or c >= self.modulus for c in self.coeffs):
+        # min and max need one item at least: order >= 1 and the length equals it.
+        if min(self.coeffs) < 0 or max(self.coeffs) >= self.modulus:
             raise InvalidInput("coefficients must be canonical residues in [0, q)")
 
 
@@ -98,24 +101,51 @@ def scalar_mul(c: int, a: CirculantElem) -> CirculantElem:
     return CirculantElem(a.order, q, tuple(c * x % q for x in a.coeffs))
 
 
+# Slot widths in bytes that an array typecode of exactly that item size packs at
+# C speed; other widths go through int.to_bytes one coefficient at a time.
+_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
+_SWAP = sys.byteorder == "big"  # slots are little-endian on every platform
+
+
+def _pack(coeffs, w: int) -> int:
+    """The coefficients as one int, coefficient j in bytes [j*w, (j+1)*w)."""
+    code = _TYPECODES.get(w)
+    if code is None:
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
+    slots = array(code, coeffs)
+    if _SWAP:
+        slots.byteswap()
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def _unpack(value: int, n: int, w: int):
+    """The n slots of w bytes of value, inverse of _pack."""
+    data = value.to_bytes(n * w, "little")
+    code = _TYPECODES.get(w)
+    if code is None:
+        return [int.from_bytes(data[i : i + w], "little") for i in range(0, n * w, w)]
+    slots = array(code, data)
+    if _SWAP:
+        slots.byteswap()
+    return slots
+
+
 def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
     """Cyclic convolution: result[k] = sum of a[i]*b[j] over i+j = k mod n.
 
-    Schoolbook O(n^2); accumulation is exact (Python ints), reduced once per
-    output coefficient.
+    Kronecker substitution: each vector is packed into one int with w bytes per
+    coefficient, the two ints are multiplied once (Karatsuba in CPython), and the
+    product is folded modulo x**n - 1. A folded coefficient sums n products of
+    residues, at most n*(q-1)**2, so w bytes holding that bound keep every slot
+    exact, unfolded or folded, at any modulus.
     """
     _check_match(a, b)
     n, q = a.order, a.modulus
-    bc = b.coeffs
-    acc = [0] * n
-    for i, ai in enumerate(a.coeffs):
-        if not ai:
-            continue
-        head = n - i
-        acc[i:] = [u + ai * v for u, v in zip(acc[i:], bc[:head])]
-        if i:
-            acc[:i] = [u + ai * v for u, v in zip(acc[:i], bc[head:])]
-    return CirculantElem(n, q, tuple(v % q for v in acc))
+    w = ((n * (q - 1) ** 2).bit_length() + 7) // 8
+    prod = _pack(a.coeffs, w) * _pack(b.coeffs, w)
+    shift = 8 * n * w
+    folded = (prod >> shift) + (prod & ((1 << shift) - 1))
+    return CirculantElem(n, q, tuple([v % q for v in _unpack(folded, n, w)]))
 
 
 def power(a: CirculantElem, k: int) -> CirculantElem:
@@ -133,5 +163,5 @@ def power(a: CirculantElem, k: int) -> CirculantElem:
 
 
 def is_zero(a: CirculantElem) -> bool:
-    return all(c == 0 for c in a.coeffs)
+    return not any(a.coeffs)
 

@@ -7,6 +7,7 @@ Exit codes: 0 success/agreement, 1 mathematical disagreement, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import itertools
 import json
@@ -26,6 +27,10 @@ EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 
+
+# Cells per chunk sent to a verify worker: enough to amortize the round trip,
+# few enough that the chunks in flight stay small on any grid.
+_MAX_CHUNK = 1024
 
 # CSV columns of each scan mode, fixed by the documented headers.
 _CSV_COLUMNS = {
@@ -54,6 +59,25 @@ def _eval_cell(task) -> dict:
         # Over Z_p the verdict's index is None exactly when it is not nilpotent.
         cell["agree"] = found == v.index if p else (found is not None) == v.nilpotent
     return cell
+
+
+def _eval_chunk(tasks: list) -> list:
+    return [_eval_cell(t) for t in tasks]
+
+
+def _pooled(pool, tasks, chunk: int, window: int):
+    """The cells of tasks in task order, computed in chunks by the pool.
+
+    At most window chunks are in flight, so memory stays bounded by the window
+    whatever the grid size.
+    """
+    pending = collections.deque()
+    while batch := list(itertools.islice(tasks, chunk)):
+        if len(pending) == window:
+            yield from pending.popleft().result()
+        pending.append(pool.submit(_eval_chunk, batch))
+    while pending:
+        yield from pending.popleft().result()
 
 
 def _tally(cells, summary: dict):
@@ -199,7 +223,8 @@ def cmd_scan(args) -> int:
         if pool is None:
             cells = map(_eval_cell, tasks)
         else:
-            cells = pool.map(_eval_cell, tasks, chunksize=max(1, total // (jobs * 4)))
+            chunk = max(1, min(total // (jobs * 4), _MAX_CHUNK))
+            cells = _pooled(pool, tasks, chunk, 2 * jobs)
         cells = _tally(cells, summary)
         if args.format == "csv":
             columns = _CSV_COLUMNS[mode]
@@ -397,10 +422,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors as exit 2
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write to stdout is reported here, not at exit
+        return code
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except BrokenPipeError:  # a closed pipe is SIGPIPE's to end (see entry)
+        raise
+    except OSError as exc:  # a full disk or device, a quota, an I/O error
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -246,3 +246,54 @@ def test_dense_product_matches_mul():
         b = CirculantElem(n, q, tuple(rng.randrange(q) for _ in range(n)))
         assert to_dense(mul(a, b)) == _dense_matmul(to_dense(a), to_dense(b), q)
 
+
+# One modulus per slot-width tier of mul: the slot holds n*(q-1)**2, from one
+# byte (small q and n) through the array widths to 17 bytes at q = 2**64 - 1.
+TIER_MODULI = (16, 2**16 - 15, 2**32 - 5, 2**61 - 1, 2**64 - 59, 2**64 - 1)
+
+tier_modulus = st.one_of(
+    st.integers(2, 16),
+    st.integers(2, 2**16 - 1),
+    st.integers(2, 2**32 - 1),
+    st.sampled_from(TIER_MODULI[3:]),
+)
+
+
+@st.composite
+def wide_pair(draw):
+    """Two elements with n in [1, 48] and a modulus from every slot tier."""
+    n = draw(st.integers(min_value=1, max_value=48))
+    q = draw(tier_modulus)
+    coeffs = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    return (
+        CirculantElem(n, q, tuple(draw(coeffs))),
+        CirculantElem(n, q, tuple(draw(coeffs))),
+    )
+
+
+@given(wide_pair())
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_dense_product_at_every_slot_width(pair):
+    a, b = pair
+    q = a.modulus
+    assert to_dense(mul(a, b)) == _dense_matmul(to_dense(a), to_dense(b), q)
+
+
+@pytest.mark.parametrize("q", TIER_MODULI)
+def test_mul_all_top_residues_fill_the_slot(q):
+    # Every coefficient q - 1 makes each folded slot exactly n*(q-1)**2, the bound.
+    n = 48
+    top = CirculantElem(n, q, (q - 1,) * n)
+    assert mul(top, top).coeffs == (n * (q - 1) ** 2 % q,) * n
+    assert to_dense(mul(top, top)) == _dense_matmul(to_dense(top), to_dense(top), q)
+
+
+@given(st.lists(st.integers(0, 2**64 - 60), min_size=1, max_size=16), st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_power_matches_iterated_multiplication_near_int_limit(coeffs, k):
+    q = 2**64 - 59
+    a = CirculantElem(len(coeffs), q, tuple(coeffs))
+    expected = identity(a.order, q)
+    for _ in range(k):
+        expected = mul(expected, a)
+    assert power(a, k) == expected

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -261,8 +262,8 @@ def test_scan_jobs_capped_at_cpus_and_cells(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            return completed(fn(*args))
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -273,6 +274,49 @@ def test_scan_jobs_capped_at_cpus_and_cells(capsys, monkeypatch):
     one_cell = ("scan", "--p", "2", "--n-max", "1", "--m-max", "1", "--verify")
     assert run(capsys, *one_cell, "--jobs", "64")[0] == 0
     assert started == [2, 2]  # a single cell starts no pool
+
+
+def completed(value) -> Future:
+    future = Future()
+    future.set_result(value)
+    return future
+
+
+def test_scan_pool_keeps_a_bounded_window(capsys, monkeypatch):
+    # In-process stand-in: submit runs the chunk at once, and a future counts as
+    # outstanding until the scan takes its result.
+    in_flight = [0]
+    outstanding = []
+
+    class CountedFuture(Future):
+        def result(self, timeout=None):
+            in_flight[0] -= 1
+            return super().result(timeout)
+
+    class RecordingPool:
+        def __init__(self, workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            in_flight[0] += 1
+            outstanding.append(in_flight[0])
+            future = CountedFuture()
+            future.set_result(fn(*args))
+            return future
+
+    grid = ("scan", "--p", "2", "--n-max", "20", "--m-max", "20", "--verify", "--format", "csv")
+    serial = run(capsys, *grid, "--jobs", "1")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run(capsys, *grid, "--jobs", "2") == serial  # cells in task order
+    assert len(outstanding) == 8  # 400 cells in chunks of 400 // (2 * 4)
+    assert max(outstanding) == 4  # never more than 2 x jobs in flight
 
 
 def test_scan_out_file(tmp_path, capsys):
@@ -585,3 +629,22 @@ def test_closed_pipe_ends_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == -signal.SIGPIPE
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [
+    ("scan", "--p", "2", "--n-max", "2", "--m-max", "2", "--out", "/dev/full"),
+    ("decide", "--n", "4", "--m", "2", "--p", "2", "--json"),
+])
+def test_failed_write_is_usage_error(argv):
+    # A full device: one error line and the exit of an unopenable --out, no
+    # traceback, and nothing more from the interpreter's last flush of stdout.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilcirc.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert proc.returncode == 2
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
