@@ -329,8 +329,12 @@ def _identities_random(args) -> int:
         raise InvalidPrime(f"{args.p} is not prime")
     # Checked before the first draw, which builds n coefficients.
     _check_int("n", args.n, 1)
-    rng = random.Random(args.seed)
     trials = args.random_trials
+    if trials * args.n > nilpotence.IDENTITIES_BUDGET:
+        raise BudgetExceeded(
+            f"{trials} trials of order n={args.n} exceed budget {nilpotence.IDENTITIES_BUDGET}"
+        )
+    rng = random.Random(args.seed)
     frob_pass = geo_pass = 0
     for _ in range(trials):
         a = _random_elem(rng, args.n, args.p)

@@ -34,4 +34,4 @@ class DivisibilityViolated(InputError):
 
 
 class BudgetExceeded(InputError):
-    """Exhaustive enumeration would exceed its work budget."""
+    """Enumeration or ring work would exceed its work budget."""

@@ -15,8 +15,15 @@ from typing import Optional
 
 from . import circring
 from .circring import CirculantElem
-from .errors import InvalidInput, InvalidPrime
+from .errors import BudgetExceeded, InvalidInput, InvalidPrime
 from .numutil import _check_int, factorize, is_prime, p_adic_valuation, pow_checked
+
+# Work budget of the identity checks, counted in ring coefficients: the order n
+# of the witness's T, and trials * n over a random run of `nilcirc identities`.
+# A point run at n = 2**12, p = 2 takes a fraction of a second. A random trial
+# also raises elements of order n to the power p several times, so its cost
+# grows with log2(p) as well, which this count leaves out.
+IDENTITIES_BUDGET = 2**12
 
 
 class ZmClause(enum.Enum):
@@ -157,6 +164,8 @@ def witness_nonvanishing(n: int, m: int, p: int) -> tuple[ZpVerdict, CirculantEl
             f"not applicable: a={v.a} < b={v.b}, T is already zero"
             " and the expansion is bypassed"
         )
+    if n > IDENTITIES_BUDGET:  # checked before T, which has n coefficients
+        raise BudgetExceeded(f"order n={n} exceeds budget {IDENTITIES_BUDGET}")
     qdiv, rdiv = divmod(v.a, v.b)
     t = circring.geom_sum(n, m, p)
     computed = circring.power(t, v.index - 1)

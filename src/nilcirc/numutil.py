@@ -6,6 +6,8 @@ would leave it raise Overflow rather than ever returning a wrong value.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 
 from .errors import InvalidInput, InvalidPrime, Overflow
@@ -16,6 +18,11 @@ INT_LIMIT = 2**64 - 1
 
 # Witnesses making Miller-Rabin deterministic for every n < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# factorize divides by d up to this bound, then hands the cofactor to rho.
+_TRIAL_DIVISION_MAX = 2**10
+# Steps of the rho walk whose differences share one gcd.
+_GCD_BATCH = 128
 
 
 def _check_int(name: str, value: int, lo: int) -> int:
@@ -67,11 +74,16 @@ def p_adic_valuation(x: int, p: int) -> tuple[int, int]:
 
 
 def factorize(q: int) -> tuple[tuple[int, int], ...]:
-    """(prime, exponent) pairs, primes increasing; trial division, q is desk-scale."""
+    """(prime, exponent) pairs, primes increasing.
+
+    Trial division by d <= 2**10; the cofactor left after it, if composite,
+    is split by Pollard's rho with Brent's cycle search, and each part is
+    tested by is_prime. Any q < 2**20 is settled by trial division alone.
+    """
     _check_int("q", q, 2)
     pairs = []
     d = 2
-    while d * d <= q:
+    while d * d <= q and d <= _TRIAL_DIVISION_MAX:
         if q % d == 0:
             e = 0
             while q % d == 0:
@@ -79,9 +91,55 @@ def factorize(q: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             pairs.append((d, e))
         d += 1 if d == 2 else 2
-    if q > 1:
-        pairs.append((q, 1))
-    return tuple(pairs)
+    if d * d > q:  # q is 1 or a prime
+        if q > 1:
+            pairs.append((q, 1))
+        return tuple(pairs)
+    # q has no prime factor below d, so every prime found from here on is larger
+    # than those in pairs.
+    found = collections.Counter()
+    work = [q]
+    while work:
+        x = work.pop()
+        if is_prime(x):
+            found[x] += 1
+        else:
+            f = _rho_factor(x)
+            work += (f, x // f)
+    return tuple(pairs) + tuple(sorted(found.items()))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper divisor of the odd composite n with no prime factor below 2**10.
+
+    Pollard's rho (BIT 15 (1975) 331-334) with Brent's cycle search and batched
+    gcd (BIT 20 (1980) 176-184): the walk y -> y*y + c mod n starts at 2, the
+    differences of _GCD_BATCH steps are multiplied into one gcd, and a batch
+    whose gcd overshoots to n is walked again one step at a time. A walk that
+    still ends at n is retried with the next c = 1, 2, ...
+    """
+    for c in itertools.count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_GCD_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = math.gcd(prod, n)
+                k += _GCD_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def pow_checked(base: int, exp: int) -> int:

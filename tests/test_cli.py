@@ -108,6 +108,30 @@ def test_decide_beyond_int_limit_is_bad_input(capsys, argv):
     assert "Overflow" in err
 
 
+def _cli_process(*argv):
+    # A subprocess with a timeout, so a run that does not finish fails the test
+    # instead of hanging it.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "nilcirc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+
+
+@pytest.mark.parametrize("m, primes", [
+    (4294967279 * 4294967291, [4294967279, 4294967291]),  # balanced, just below 2**64
+    (2**64 - 59, [2**64 - 59]),  # the largest prime below 2**64
+])
+def test_decide_zm_is_fast_on_64_bit_moduli(m, primes):
+    start = time.perf_counter()
+    proc = _cli_process("decide", "--zm", "--json", "--n", str(m), "--m", str(m))
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["nilpotent"] is True
+    assert [v["p"] for v in doc["per_prime"]] == primes
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -584,6 +608,29 @@ def test_identities_random_n_beyond_int_limit_is_overflow(capsys):
     assert code == 3
     assert out == ""
     assert "Overflow" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("identities", "--n", str(2**40), "--m", "2", "--p", "2"),  # T of order 2**40
+    ("identities", "--n", "3", "--p", "2", "--random-trials", str(2**63)),
+])
+def test_identities_beyond_work_budget_is_refused(argv):
+    start = time.perf_counter()
+    proc = _cli_process(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: BudgetExceeded: ")
+
+
+def test_identities_budget_bounds_n_and_trials_times_n(capsys, monkeypatch):
+    monkeypatch.setattr(nilpotence, "IDENTITIES_BUDGET", 8)
+    assert run(capsys, "identities", "--n", "8", "--m", "2", "--p", "2")[0] == 0
+    assert run(capsys, "identities", "--random-trials", "2", "--n", "4", "--p", "2")[0] == 0
+    for argv in (("--n", "16", "--m", "2"), ("--random-trials", "3", "--n", "3")):
+        code, out, err = run(capsys, "identities", "--p", "2", *argv)
+        assert (code, out) == (3, "")
+        assert "BudgetExceeded" in err
 
 
 def test_identities_random_large_prime(capsys):

@@ -1,8 +1,9 @@
+import collections
 import math
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcirc.circring import geom_sum
@@ -128,6 +129,53 @@ def test_factorize_recomposes(q):
     assert primes == sorted(set(primes))
     for p in primes:
         assert is_prime(p)
+
+
+# Every case leaves a cofactor above (2**10)**2 after trial division, so it
+# reaches the branch that tests each part with is_prime and splits it by rho.
+_RHO_CASES = [
+    (4294967279 * 4294967291, ((4294967279, 1), (4294967291, 1))),
+    (4294967291**2, ((4294967291, 2),)),
+    (1031**3, ((1031, 3),)),
+    (2**64 - 59, ((2**64 - 59, 1),)),
+    (2**64 - 1, ((3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1))),
+    (3825123056546413051, ((149491, 1), (747451, 1), (34233211, 1))),  # strong pseudoprime
+]
+
+
+@pytest.mark.parametrize("q, pairs", _RHO_CASES, ids=[str(q) for q, _ in _RHO_CASES])
+def test_factorize_large_cofactor(q, pairs):
+    start = time.perf_counter()
+    assert factorize(q) == pairs
+    assert time.perf_counter() - start < 1.0
+
+
+def _prime_at_most(x: int) -> int:
+    while not is_prime(x):
+        x -= 1
+    return x
+
+
+@st.composite
+def _products_of_large_primes(draw):
+    """2 to 6 primes in (2**10, 2**32), repeats allowed, with product below 2**64."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    primes = []
+    for left in range(k, 0, -1):
+        # leave room for the primes still to come, each at least 1031
+        hi = min(2**32 - 1, INT_LIMIT // math.prod(primes) // 1031 ** (left - 1))
+        again = [p for p in primes if p <= hi]
+        if again and draw(st.booleans()):
+            primes.append(draw(st.sampled_from(again)))
+        else:
+            primes.append(_prime_at_most(draw(st.integers(min_value=1031, max_value=hi))))
+    return primes
+
+
+@settings(max_examples=50, deadline=None)
+@given(_products_of_large_primes())
+def test_factorize_products_of_large_primes(primes):
+    assert factorize(math.prod(primes)) == tuple(sorted(collections.Counter(primes).items()))
 
 
 # ---------------------------------------------------------------------------
