@@ -330,10 +330,7 @@ def _identities_random(args) -> int:
     # Checked before the first draw, which builds n coefficients.
     _check_int("n", args.n, 1)
     trials = args.random_trials
-    if trials * args.n > nilpotence.IDENTITIES_BUDGET:
-        raise BudgetExceeded(
-            f"{trials} trials of order n={args.n} exceed budget {nilpotence.IDENTITIES_BUDGET}"
-        )
+    nilpotence.check_identities_budget(trials * args.n * args.p.bit_length())
     rng = random.Random(args.seed)
     frob_pass = geo_pass = 0
     for _ in range(trials):

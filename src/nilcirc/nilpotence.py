@@ -18,12 +18,19 @@ from .circring import CirculantElem
 from .errors import BudgetExceeded, InvalidInput, InvalidPrime
 from .numutil import _check_int, factorize, is_prime, p_adic_valuation, pow_checked
 
-# Work budget of the identity checks, counted in ring coefficients: the order n
-# of the witness's T, and trials * n over a random run of `nilcirc identities`.
-# A point run at n = 2**12, p = 2 takes a fraction of a second. A random trial
-# also raises elements of order n to the power p several times, so its cost
-# grows with log2(p) as well, which this count leaves out.
+# Work budget of the identity checks, in ring coefficients: the order n of the
+# witness's T at a point, and trials * n * p.bit_length() over a random run of
+# `nilcirc identities`, whose trials raise elements of order n to the power p
+# (about log2(p) multiplies per power). A point run needs p <= n, so p adds at
+# most 12 bits there: n = 2**12, p = 2 takes a fraction of a second and the
+# point n = m = p = 4093 about 5 s on a 2-CPU machine.
 IDENTITIES_BUDGET = 2**12
+
+
+def check_identities_budget(work: int) -> None:
+    """Raise BudgetExceeded if work, counted as above, exceeds IDENTITIES_BUDGET."""
+    if work > IDENTITIES_BUDGET:
+        raise BudgetExceeded(f"identities work {work} exceeds budget {IDENTITIES_BUDGET}")
 
 
 class ZmClause(enum.Enum):
@@ -164,8 +171,7 @@ def witness_nonvanishing(n: int, m: int, p: int) -> tuple[ZpVerdict, CirculantEl
             f"not applicable: a={v.a} < b={v.b}, T is already zero"
             " and the expansion is bypassed"
         )
-    if n > IDENTITIES_BUDGET:  # checked before T, which has n coefficients
-        raise BudgetExceeded(f"order n={n} exceeds budget {IDENTITIES_BUDGET}")
+    check_identities_budget(n)  # before T, which has n coefficients
     qdiv, rdiv = divmod(v.a, v.b)
     t = circring.geom_sum(n, m, p)
     computed = circring.power(t, v.index - 1)

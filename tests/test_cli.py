@@ -180,13 +180,8 @@ def test_scan_empty_range_rejected(capsys):
     ("identities", "--n", "3", "--p", "2", "--random-trials", str(2**64)),
 ])
 def test_range_flag_above_limit_is_usage_error(argv):
-    # A subprocess, so a run that ignores the bound is cut off instead of hanging.
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "nilcirc.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
+    proc = _cli_process(*argv)
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -613,6 +608,8 @@ def test_identities_random_n_beyond_int_limit_is_overflow(capsys):
 @pytest.mark.parametrize("argv", [
     ("identities", "--n", str(2**40), "--m", "2", "--p", "2"),  # T of order 2**40
     ("identities", "--n", "3", "--p", "2", "--random-trials", str(2**63)),
+    # 64-bit p: inside a count of trials * n alone, and about a minute of work
+    ("identities", "--n", "4096", "--p", str(2**64 - 59), "--random-trials", "1"),
 ])
 def test_identities_beyond_work_budget_is_refused(argv):
     start = time.perf_counter()
@@ -623,12 +620,21 @@ def test_identities_beyond_work_budget_is_refused(argv):
     assert proc.stderr.startswith("error: BudgetExceeded: ")
 
 
-def test_identities_budget_bounds_n_and_trials_times_n(capsys, monkeypatch):
-    monkeypatch.setattr(nilpotence, "IDENTITIES_BUDGET", 8)
-    assert run(capsys, "identities", "--n", "8", "--m", "2", "--p", "2")[0] == 0
-    assert run(capsys, "identities", "--random-trials", "2", "--n", "4", "--p", "2")[0] == 0
-    for argv in (("--n", "16", "--m", "2"), ("--random-trials", "3", "--n", "3")):
-        code, out, err = run(capsys, "identities", "--p", "2", *argv)
+def test_identities_budget_bounds_n_and_weighted_trials(capsys, monkeypatch):
+    # A point run counts n; a random run counts trials * n * p.bit_length().
+    monkeypatch.setattr(nilpotence, "IDENTITIES_BUDGET", 16)
+    for argv in (
+        ("--n", "16", "--m", "2", "--p", "2"),
+        ("--random-trials", "2", "--n", "4", "--p", "2"),  # 2 * 4 * 2
+        ("--random-trials", "1", "--n", "4", "--p", "7"),  # 1 * 4 * 3
+    ):
+        assert run(capsys, "identities", *argv)[0] == 0
+    for argv in (
+        ("--n", "32", "--m", "2", "--p", "2"),
+        ("--random-trials", "3", "--n", "3", "--p", "2"),  # 3 * 3 * 2
+        ("--random-trials", "2", "--n", "3", "--p", "7"),  # 2 * 3 * 3
+    ):
+        code, out, err = run(capsys, "identities", *argv)
         assert (code, out) == (3, "")
         assert "BudgetExceeded" in err
 

@@ -1,17 +1,18 @@
 """Paired benchmark runs of two source trees, written as one BENCH_*.json file.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_tag.json --what TEXT
-        [--parent-commit SHA] [--change-commit SHA] [--pairs 10] [--first-seed 1]
-        [--seconds 10] [--trace-workload W]
+        --trace-workload W [--parent-commit SHA] [--change-commit SHA]
+        [--pairs 10] [--first-seed 1]
 
 PARENT and CHANGE are the roots of two checkouts, each with its own bench/ and
 src/ (make them with `git archive REV | tar -x -C DIR`, so that neither holds a
 bytecode cache or uncommitted files). For every workload in CHANGE's
 BENCHMARK.json the script runs --pairs alternating pairs of
-`python3 bench/run.py --trace 0`, one per seed from --first-seed on: odd pairs
-run the parent first, even pairs the change first. Each side then runs once
-with --trace 1 on --trace-workload at --first-seed, for one traced unit. The
-end-to-end metrics, their directions and bounds come from the same file.
+`python3 bench/run.py --seconds 10 --trace 0`, one per seed from --first-seed
+on: odd pairs run the parent first, even pairs the change first. Each side then
+runs once with --trace 1 on --trace-workload at --first-seed, for one traced
+unit, whose length it reads from that side's bench/run.py. The end-to-end
+metrics, their directions and bounds come from the same file.
 
 Only the standard library is used, and nothing is run in parallel: the runs
 share the machine with nothing but each other.
@@ -20,6 +21,7 @@ share the machine with nothing but each other.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import statistics
@@ -28,7 +30,18 @@ import sys
 from pathlib import Path
 
 QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
-TRACE_SECONDS = 15  # bench/run.py --trace 1 runs one unit per 15 s
+RUN_SECONDS = 10  # of every --trace 0 run, on both sides
+
+
+def trace_unit_seconds(tree: Path) -> int:
+    """SECONDS_PER_TRACE_UNIT of tree/bench/run.py: the run length of one traced unit."""
+    module = ast.parse((tree / "bench" / "run.py").read_text())
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SECONDS_PER_TRACE_UNIT" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    sys.exit(f"{tree}/bench/run.py sets no SECONDS_PER_TRACE_UNIT")
 
 
 def src_sha256(tree: Path) -> str:
@@ -39,7 +52,7 @@ def src_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One bench/run.py run in tree; its full report (the second-to-last stdout line)."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
@@ -99,9 +112,10 @@ def main() -> int:
     parser.add_argument("--change-commit", default="unknown")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10)
-    parser.add_argument("--trace-workload", default=None, help="default: the first workload")
+    parser.add_argument("--trace-workload", required=True)
     args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     end_to_end = {m["name"]: m for m in declared["end_to_end"]}
@@ -111,7 +125,7 @@ def main() -> int:
 
     result = {
         "what": args.what,
-        "command": (f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g}"
+        "command": (f"python3 bench/run.py --workload W --seed S --seconds {RUN_SECONDS}"
                     " --trace 0, in each tree"),
         "pairing": ("pair i runs seed i on both sides; odd pairs run the parent first,"
                     " even pairs the change first"),
@@ -129,7 +143,7 @@ def main() -> int:
         for i, seed in enumerate(seeds, 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             for side in order:
-                report = bench(trees[side], workload, seed, args.seconds, 0)
+                report = bench(trees[side], workload, seed, RUN_SECONDS, 0)
                 runs.append(run_row(side, seed, order[0], report))
         of = {side: [r for r in runs if r["side"] == side] for side in trees}
         result["workloads"][workload] = {
@@ -155,13 +169,13 @@ def main() -> int:
         "loadavg_1m_max": max(loads),
         "overloaded_runs": sum(r["overloaded"] for r in all_runs),
     }
-    trace_workload = args.trace_workload or workloads[0]
+    trace_seconds = trace_unit_seconds(trees["change"])
     result["trace"] = {
-        "command": (f"python3 bench/run.py --workload {trace_workload} --seed {args.first_seed}"
-                    f" --seconds {TRACE_SECONDS} --trace 1"),
+        "command": (f"python3 bench/run.py --workload {args.trace_workload}"
+                    f" --seed {args.first_seed} --seconds {trace_seconds} --trace 1"),
     }
     for side, tree in trees.items():
-        report = bench(tree, trace_workload, args.first_seed, TRACE_SECONDS, 1)
+        report = bench(tree, args.trace_workload, args.first_seed, trace_unit_seconds(tree), 1)
         result["trace"][side] = {**{k: v["value"] for k, v in report["metrics"].items()},
                                  "correct": report["correct"]}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
