@@ -145,6 +145,14 @@ def test_scan_zm_csv_golden(capsys):
     assert out == (GOLDEN / "scan_zm_12x12_verify.csv").read_text()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_zp_golden(capsys, fmt):
+    code, out, _ = run(capsys, "scan", "--p", "3", "--n-max", "12", "--m-max", "12",
+                       "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / f"scan_zp_12x12.{fmt}").read_text()
+
+
 def test_scan_zp_csv_header_and_rows(capsys):
     code, out, _ = run(
         capsys, "scan", "--p", "2", "--n-max", "4", "--m-max", "4",
