@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import collections
-import csv
+import functools
 import itertools
 import json
 import os
@@ -20,7 +20,7 @@ from contextlib import nullcontext
 
 from . import circring, congruence, nilpotence, oracle
 from .errors import BudgetExceeded, InputError, InvalidPrime
-from .numutil import _check_int, is_prime
+from .numutil import _check_int, is_prime, p_adic_valuation
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -32,77 +32,155 @@ EXIT_BAD_INPUT = 3
 # few enough that the chunks in flight stay small on any grid.
 _MAX_CHUNK = 1024
 
-# CSV columns of each scan mode, fixed by the documented headers.
+# Splits of m kept for the rows after the first. A longer m axis is split
+# again in every row past this many values, so a scan's memory stays bounded
+# however long the axis.
+_AXIS_TABLE_MAX = 2**10
+
+# Columns of each scan mode, fixed by the documented CSV headers.
 _CSV_COLUMNS = {
     "zp": ("n", "m", "nilpotent", "index", "agree"),
     "zm": ("n", "m", "nilpotent", "clause", "oracle_index", "agree"),
 }
 
+# Where each column sits in a cell: (n, m, nilpotent, index or clause), then
+# (oracle_index, agree) on a verified cell.
+_POSITION = {"n": 0, "m": 1, "nilpotent": 2, "index": 3, "clause": 3,
+             "oracle_index": 4, "agree": 5}
+
+# Per format: a cell's text up to m, after n is filled in; the text of each
+# column after m; and the cell's end. A JSON cell is laid out as
+# json.dumps(cells, indent=2) lays out each of its items.
+_TEMPLATES = {
+    "csv": ("%d,", ",{text}", "\n"),
+    "json": ('  {\n    "n": %d,\n    "m": ', ',\n    "{key}": {text}', "\n  }"),
+}
+
 
 # ---------------------------------------------------------------------------
-# scan cells (the worker is top level so a process pool can pickle it)
+# scan cells: each n is split once per row, each m once per scan
 
 
-def _eval_cell(task) -> dict:
-    """One grid cell; p is None over Z_m."""
-    n, m, p, verify = task
-    if p is None:
-        v = nilpotence.decide_zm(n, m)
-        cell = {"n": n, "m": m, "nilpotent": v.nilpotent, "clause": v.clause.value}
-    else:
-        v = nilpotence.decide_zp(n, m, p)
-        cell = {"n": n, "m": m, "nilpotent": v.nilpotent, "index": v.index}
-    if verify:
-        # Bound n is sound: a nilpotent n x n matrix has index at most n.
-        found = oracle.min_nilpotent_index(circring.geom_sum(n, m, p or m), n)
-        cell["oracle_index"] = found
-        # Over Z_p the verdict's index is None exactly when it is not nilpotent.
-        cell["agree"] = found == v.index if p else (found is not None) == v.nilpotent
-    return cell
+def _axis(table: list, ms: range, split):
+    """(m, split(m)) for each m in ms, from the table as far as it reaches.
+
+    The first row fills the table as it walks, up to _AXIS_TABLE_MAX values,
+    so the table never holds more than the cells already walked.
+    """
+    yield from table
+    for m in ms[len(table):]:
+        entry = m, split(m)
+        if len(table) < _AXIS_TABLE_MAX:
+            table.append(entry)
+        yield entry
 
 
-def _eval_chunk(tasks: list) -> list:
-    return [_eval_cell(t) for t in tasks]
+def _zp_cells(p: int, n_max: int, ms: range):
+    """(n, m, nilpotent, index) of every cell over Z_p, row by row."""
+    split = functools.partial(p_adic_valuation, p=p)  # checks that p is prime
+    table = []
+    for n in range(1, n_max + 1):
+        a, n_star = split(n)
+        for m, (b, m_star) in _axis(table, ms, split):
+            index = nilpotence.zp_index(a, n_star, b, m_star, p)
+            yield n, m, index is not None, index
 
 
-def _pooled(pool, tasks, chunk: int, window: int):
-    """The cells of tasks in task order, computed in chunks by the pool.
+def _zm_cells(n_max: int, ms: range):
+    """(n, m, nilpotent, clause) of every cell over Z_m, row by row."""
+    not_nilpotent = nilpotence.ZmClause.NOT_NILPOTENT
+    table = []
+    for n in range(1, n_max + 1):
+        n_primes = nilpotence.prime_divisors(n)
+        for m, m_primes in _axis(table, ms, nilpotence.prime_divisors):
+            clause = nilpotence.zm_clause(n, m, n_primes, m_primes)
+            yield n, m, clause is not not_nilpotent, clause
+
+
+# The oracle workers are top level so a process pool can pickle them.
+
+
+def _oracle_cell(p, cell: tuple) -> tuple:
+    """The cell followed by the oracle's index and whether it agrees; p is None over Z_m."""
+    n, m, nilpotent, verdict = cell
+    # Bound n is sound: a nilpotent n x n matrix has index at most n.
+    found = oracle.min_nilpotent_index(circring.geom_sum(n, m, p or m), n)
+    # Over Z_m the verdict is a clause; over Z_p it is the index, None exactly
+    # when T is not nilpotent.
+    agree = (found is not None) == nilpotent if p is None else found == verdict
+    return (*cell, found, agree)
+
+
+def _oracle_chunk(p, cells: list) -> list:
+    return [_oracle_cell(p, cell) for cell in cells]
+
+
+def _pooled(pool, p, cells, chunk: int, window: int):
+    """The oracle's cells in order, computed in chunks by the pool.
 
     At most window chunks are in flight, so memory stays bounded by the window
     whatever the grid size.
     """
     pending = collections.deque()
-    while batch := list(itertools.islice(tasks, chunk)):
+    while batch := list(itertools.islice(cells, chunk)):
         if len(pending) == window:
             yield from pending.popleft().result()
-        pending.append(pool.submit(_eval_chunk, batch))
+        pending.append(pool.submit(_oracle_chunk, p, batch))
     while pending:
         yield from pending.popleft().result()
 
 
 def _tally(cells, summary: dict):
-    """Pass the cells through, adding each to the summary counters."""
+    """Pass the cells through, then add them to the summary counters."""
+    nilpotent = agreements = 0
     for cell in cells:
-        summary["nilpotent"] += cell["nilpotent"]
-        agree = cell.get("agree")  # None when the scan does not verify
-        if agree:
-            summary["agreements"] += 1
-        elif agree is False:
-            summary["disagreements"].append({"n": cell["n"], "m": cell["m"]})
+        nilpotent += cell[2]
+        if len(cell) > 4:  # verified
+            if cell[5]:
+                agreements += 1
+            else:
+                summary["disagreements"].append({"n": cell[0], "m": cell[1]})
         yield cell
+    summary["nilpotent"] = nilpotent
+    if "agreements" in summary:
+        summary["agreements"] = agreements
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _csv_value(v):
-    """Booleans lowercase, absent values empty."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return v
+def _text(value, fmt: str) -> str:
+    """A cell value as JSON, or as CSV: lowercase booleans, absent values empty."""
+    if isinstance(value, nilpotence.ZmClause):
+        value = value.value
+    if fmt == "json" or isinstance(value, bool):
+        return json.dumps(value)
+    return "" if value is None else str(value)
+
+
+def _cell_texts(cells, fmt: str, columns: tuple):
+    """The text of each cell in fmt, with the given columns.
+
+    The text up to m is made once per row. Past m, a cell's text depends only
+    on its verdict and the oracle's result, which take few distinct values
+    (over Z_p one index per (a, b)), so each is rendered once and reused.
+    """
+    head, column, end = _TEMPLATES[fmt]
+    row = None
+    tails = {}
+    for cell in cells:
+        if cell[0] != row:
+            row = cell[0]
+            row_head = head % row
+        rest = cell[2:]
+        tail = tails.get(rest)
+        if tail is None:
+            values = cell + (None,) * (6 - len(cell))  # no oracle columns unless verified
+            texts = (column.format(key=key, text=_text(values[_POSITION[key]], fmt))
+                     for key in columns[2:])
+            tail = tails[rest] = "".join(texts) + end
+        yield row_head + str(cell[1]) + tail
 
 
 def _render_scan_human(par: dict, s: dict) -> str:
@@ -125,17 +203,17 @@ def _render_scan_human(par: dict, s: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_json_array(out, items, pad: str) -> None:
+def _write_json_array(out, items, pad: str, dumps) -> None:
     """Stream a non-empty array with the bytes of json.dumps(list, indent=2).
 
-    Each line after the first is prefixed with pad. The items go 64 per
-    json.dumps call (one call per item is about 15 % slower); [2:-2] drops each
-    batch's brackets.
+    The items go 64 at a time to dumps, which renders them as json.dumps(list,
+    indent=2) lays them out between its brackets (for objects, one call per
+    item is about 15 % slower). Each line after the first is prefixed with pad.
     """
     items = iter(items)
     sep = "[\n"
     while batch := list(itertools.islice(items, 64)):
-        out.write(sep + pad + json.dumps(batch, indent=2)[2:-2].replace("\n", "\n" + pad))
+        out.write(sep + pad + dumps(batch).replace("\n", "\n" + pad))
         sep = ",\n"
     out.write("\n" + pad + "]")
 
@@ -191,16 +269,16 @@ def cmd_scan(args) -> int:
         "m_range": [m_lo, args.m_max],
         "verify": args.verify,
     }
-    p = None
-    if not args.zm:
-        if not is_prime(args.p):
-            raise InvalidPrime(f"{args.p} is not prime")
+    ms = range(m_lo, args.m_max + 1)
+    if args.zm:
+        p = None
+        cells = _zm_cells(args.n_max, ms)
+    else:
         p = parameters["p"] = args.p
-    tasks = (
-        (n, m, p, args.verify)
-        for n in range(1, args.n_max + 1)
-        for m in range(m_lo, args.m_max + 1)
-    )
+        cells = _zp_cells(p, args.n_max, ms)
+    # The first cell is decided now, before --out is opened: a composite p
+    # fails its first split, and an existing file is left untouched.
+    cells = itertools.chain([next(cells)], cells)
     total = args.n_max * (args.m_max - m_lo + 1)
     summary = {"cells": total, "nilpotent": 0, "disagreements": []}
     if args.verify:
@@ -220,22 +298,23 @@ def cmd_scan(args) -> int:
         sink as out,
         ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool,
     ):
-        if pool is None:
-            cells = map(_eval_cell, tasks)
-        else:
+        if args.verify and pool is None:
+            cells = map(_oracle_cell, itertools.repeat(p), cells)
+        elif args.verify:
             chunk = max(1, min(total // (jobs * 4), _MAX_CHUNK))
-            cells = _pooled(pool, tasks, chunk, 2 * jobs)
+            cells = _pooled(pool, p, cells, chunk, 2 * jobs)
         cells = _tally(cells, summary)
         if args.format == "csv":
             columns = _CSV_COLUMNS[mode]
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(columns)
-            for c in cells:
-                writer.writerow([_csv_value(c.get(k)) for k in columns])
+            out.write(",".join(columns) + "\n")
+            texts = _cell_texts(cells, "csv", columns)
+            while batch := list(itertools.islice(texts, 1024)):
+                out.write("".join(batch))
         elif args.format == "json":
+            columns = _CSV_COLUMNS[mode][:4] + (("oracle_index", "agree") if args.verify else ())
             # The bytes of json.dumps(report, indent=2), framed around the cells.
             out.write(json.dumps({"parameters": parameters}, indent=2)[:-2] + ',\n  "cells": ')
-            _write_json_array(out, cells, "  ")
+            _write_json_array(out, _cell_texts(cells, "json", columns), "  ", ",\n".join)
             out.write(",\n" + json.dumps({"summary": summary}, indent=2)[2:] + "\n")
         else:
             for _ in cells:  # the summary needs every cell
@@ -280,7 +359,8 @@ def cmd_lemma1(args) -> int:
     if args.json and args.c is not None:
         print(json.dumps(report(inst.c), indent=2))
     elif args.json:
-        _write_json_array(sys.stdout, map(report, targets), "")
+        _write_json_array(sys.stdout, map(report, targets), "",
+                          lambda batch: json.dumps(batch, indent=2)[2:-2])
         print()
     else:
         print(

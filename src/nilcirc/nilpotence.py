@@ -77,7 +77,8 @@ def index_formula(a: int, b: int, p: int) -> int:
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
     _check_int("b", b, 1)
-    return -(-pow_checked(p, a) // (pow_checked(p, b) - 1))
+    # The index of T(p**a, p**b), whose p-free parts are both 1.
+    return decide_zp(pow_checked(p, a), pow_checked(p, b), p).index
 
 
 def index_expansion(a: int, b: int, p: int) -> int:
@@ -94,47 +95,66 @@ def index_expansion(a: int, b: int, p: int) -> int:
     return pow_checked(p, rdiv) * geo + 1
 
 
-def decide_zp(n: int, m: int, p: int) -> ZpVerdict:
-    """Decide nilpotence of T over Z_p and compute the exact index.
+def zp_index(a: int, n_star: int, b: int, m_star: int, p: int) -> Optional[int]:
+    """Theorem 1 on the splits n = p**a * n_star and m = p**b * m_star.
 
-    The divisibility condition "n | m * p**k for some k" holds iff the p-free
-    part of n divides the p-free part of m, which is what gets tested.
+    The index of T over Z_p, or None when T is not nilpotent. The divisibility
+    condition "n | m * p**k for some k" holds iff the p-free part of n divides
+    the p-free part of m, which is what gets tested. The splits are taken as
+    p_adic_valuation made them, which checked p; p**a <= n and p**b <= m, so
+    the arithmetic stays in range.
     """
+    if b >= 1 and m_star % n_star == 0:
+        return -(-p**a // (p**b - 1))
+    return None
+
+
+def decide_zp(n: int, m: int, p: int) -> ZpVerdict:
+    """Decide nilpotence of T over Z_p and compute the exact index."""
     _check_int("n", n, 1)
     _check_int("m", m, 1)
     a, n_star = p_adic_valuation(n, p)  # also validates p
     b, m_star = p_adic_valuation(m, p)
-    nilpotent = b >= 1 and m_star % n_star == 0
-    if not nilpotent:
-        return ZpVerdict(n, m, p, a, b, n_star, m_star, False)
-    return ZpVerdict(n, m, p, a, b, n_star, m_star, True, index_formula(a, b, p))
+    index = zp_index(a, n_star, b, m_star, p)
+    return ZpVerdict(n, m, p, a, b, n_star, m_star, index is not None, index)
 
 
 # ---------------------------------------------------------------------------
 # Z_m
 
 
+def prime_divisors(x: int) -> tuple[int, ...]:
+    """The primes dividing x, increasing; none for x = 1."""
+    return tuple(p for p, _ in factorize(x)) if x != 1 else ()
+
+
 def _zm_primes(n: int, m: int) -> tuple[int, ...]:
     """Check the arguments of a Z_m decision; return the primes dividing m."""
     _check_int("m", m, 2)
     _check_int("n", n, 1)
-    return tuple(p for p, _ in factorize(m))
+    return prime_divisors(m)
+
+
+def zm_clause(n: int, m: int, n_primes: tuple[int, ...], m_primes: tuple[int, ...]) -> ZmClause:
+    """The literal two-clause predicate over Z_m, on the primes dividing n and m.
+
+    Nilpotent iff either m and n are powers of one common prime (n = 1, with
+    no primes, counts as the zeroth power), or m has at least two distinct
+    prime factors and n divides m.
+    """
+    if len(m_primes) == 1:
+        if n_primes in ((), m_primes):
+            return ZmClause.SAME_PRIME_POWERS
+    elif m % n == 0:
+        return ZmClause.MULTI_PRIME_DIVIDES
+    return ZmClause.NOT_NILPOTENT
 
 
 def decide_zm(n: int, m: int) -> ZmVerdict:
-    """The literal two-clause predicate over Z_m.
-
-    Nilpotent iff either m and n are powers of one common prime (n = 1
-    counts, as the zeroth power), or m has at least two distinct prime
-    factors and n divides m.
-    """
+    """Decide nilpotence of T over Z_m by the two clauses of zm_clause."""
     m_primes = _zm_primes(n, m)
-    if len(m_primes) == 1:
-        if n == 1 or tuple(p for p, _ in factorize(n)) == m_primes:
-            return ZmVerdict(n, m, True, ZmClause.SAME_PRIME_POWERS)
-    elif m % n == 0:
-        return ZmVerdict(n, m, True, ZmClause.MULTI_PRIME_DIVIDES)
-    return ZmVerdict(n, m, False, ZmClause.NOT_NILPOTENT)
+    clause = zm_clause(n, m, prime_divisors(n), m_primes)
+    return ZmVerdict(n, m, clause is not ZmClause.NOT_NILPOTENT, clause)
 
 
 def decide_zm_via_primes(n: int, m: int) -> ZmVerdict:

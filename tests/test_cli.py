@@ -153,6 +153,40 @@ def test_scan_zp_golden(capsys, fmt):
     assert out == (GOLDEN / f"scan_zp_12x12.{fmt}").read_text()
 
 
+def _csv_rows(out):
+    header, *rows = out.splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def _csv(value):
+    return "" if value is None else str(value).lower()
+
+
+@pytest.mark.parametrize("p, size", [(2, 60), (3, 60), (5, 60), (7, 60), (2**61 - 1, 12)])
+def test_scan_zp_equals_decide_zp(capsys, p, size):
+    code, out, _ = run(capsys, "scan", "--p", str(p), "--n-max", str(size),
+                       "--m-max", str(size), "--format", "csv")
+    assert code == 0
+    rows = _csv_rows(out)
+    assert len(rows) == size * size
+    for row in rows:
+        v = nilpotence.decide_zp(int(row["n"]), int(row["m"]), p)
+        assert row == {"n": str(v.n), "m": str(v.m), "nilpotent": _csv(v.nilpotent),
+                       "index": _csv(v.index), "agree": ""}
+
+
+def test_scan_zm_equals_decide_zm(capsys):
+    code, out, _ = run(capsys, "scan", "--zm", "--n-max", "60", "--m-max", "60",
+                       "--format", "csv")
+    assert code == 0
+    rows = _csv_rows(out)
+    assert len(rows) == 60 * 59
+    for row in rows:
+        v = nilpotence.decide_zm(int(row["n"]), int(row["m"]))
+        assert row == {"n": str(v.n), "m": str(v.m), "nilpotent": _csv(v.nilpotent),
+                       "clause": v.clause.value, "oracle_index": "", "agree": ""}
+
+
 def test_scan_zp_csv_header_and_rows(capsys):
     code, out, _ = run(
         capsys, "scan", "--p", "2", "--n-max", "4", "--m-max", "4",
@@ -379,6 +413,37 @@ class Discard:
         pass
 
 
+class Stop(Exception):
+    pass
+
+
+class RowLimit(Discard):
+    """A stdout that keeps nothing and stops the run after 10000 rows."""
+
+    rows = 0
+
+    def write(self, text):
+        self.rows += text.count("\n")
+        if self.rows > 10_000:
+            raise Stop
+        return len(text)
+
+
+@pytest.mark.parametrize("mode", [("--p", "2"), ("--zm",)])
+def test_scan_huge_m_axis_streams(monkeypatch, mode):
+    # 2**40 cells in one row: nothing may be sized by the m axis up front, and
+    # the splits kept for later rows are bounded.
+    monkeypatch.setattr("sys.stdout", RowLimit())
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            main(["scan", *mode, "--n-max", "1", "--m-max", str(2**40), "--format", "csv"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "human"])
 def test_scan_streams(monkeypatch, fmt):
     # 10000 cells: the scan must not hold one cell, row or string per cell
@@ -506,8 +571,13 @@ def test_lemma1_all_targets_streams(monkeypatch):
      "--json"),
     ("lemma1", "--d", "2", "--m-star", "1", "--n-star", "1", "--q", "8", "--json"),  # batches
     ("scan", "--p", "2", "--n-max", "4", "--m-max", "4", "--format", "json"),  # one batch
+    # 65 cells or more: several batches, in each scan mode
+    ("scan", "--p", "3", "--n-max", "9", "--m-max", "9", "--format", "json"),
+    ("scan", "--p", "2", "--n-max", "9", "--m-max", "8", "--verify", "--format", "json",
+     "--jobs", "1"),
+    ("scan", "--zm", "--n-max", "9", "--m-max", "9", "--format", "json"),
     ("scan", "--zm", "--n-max", "9", "--m-max", "9", "--verify", "--format", "json",
-     "--jobs", "1"),  # 72 cells, two batches
+     "--jobs", "1"),
 ])
 def test_lemma1_streamed_json_matches_json_dumps(capsys, argv):
     code, out, _ = run(capsys, *argv)
