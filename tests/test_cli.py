@@ -168,7 +168,8 @@ def test_scan_zp_equals_decide_zp(capsys, p, size):
                        "--m-max", str(size), "--format", "csv")
     assert code == 0
     rows = _csv_rows(out)
-    assert len(rows) == size * size
+    grid = [(n, m) for n in range(1, size + 1) for m in range(1, size + 1)]
+    assert [(int(row["n"]), int(row["m"])) for row in rows] == grid
     for row in rows:
         v = nilpotence.decide_zp(int(row["n"]), int(row["m"]), p)
         assert row == {"n": str(v.n), "m": str(v.m), "nilpotent": _csv(v.nilpotent),
@@ -180,7 +181,8 @@ def test_scan_zm_equals_decide_zm(capsys):
                        "--format", "csv")
     assert code == 0
     rows = _csv_rows(out)
-    assert len(rows) == 60 * 59
+    grid = [(n, m) for n in range(1, 61) for m in range(2, 61)]
+    assert [(int(row["n"]), int(row["m"])) for row in rows] == grid
     for row in rows:
         v = nilpotence.decide_zm(int(row["n"]), int(row["m"]))
         assert row == {"n": str(v.n), "m": str(v.m), "nilpotent": _csv(v.nilpotent),
