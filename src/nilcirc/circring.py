@@ -130,6 +130,18 @@ def _unpack(value: int, n: int, w: int):
     return slots
 
 
+def _width(n: int, q: int) -> int:
+    """Bytes per slot that hold n*(q-1)**2, the largest folded coefficient."""
+    return ((n * (q - 1) ** 2).bit_length() + 7) // 8
+
+
+def _fold(prod: int, n: int, q: int, w: int) -> list:
+    """The product of two packed vectors, folded modulo x**n - 1, each slot mod q."""
+    shift = 8 * n * w
+    folded = (prod >> shift) + (prod & ((1 << shift) - 1))
+    return [v % q for v in _unpack(folded, n, w)]
+
+
 def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
     """Cyclic convolution: result[k] = sum of a[i]*b[j] over i+j = k mod n.
 
@@ -141,11 +153,27 @@ def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
     """
     _check_match(a, b)
     n, q = a.order, a.modulus
-    w = ((n * (q - 1) ** 2).bit_length() + 7) // 8
-    prod = _pack(a.coeffs, w) * _pack(b.coeffs, w)
-    shift = 8 * n * w
-    folded = (prod >> shift) + (prod & ((1 << shift) - 1))
-    return CirculantElem(n, q, tuple([v % q for v in _unpack(folded, n, w)]))
+    w = _width(n, q)
+    return CirculantElem(n, q, tuple(_fold(_pack(a.coeffs, w) * _pack(b.coeffs, w), n, q, w)))
+
+
+def powers(a: CirculantElem):
+    """The coefficient lists of a, a**2, a**3, ..., without end.
+
+    a is packed once; each next power is one multiply of the packed previous
+    power by packed a, folded, and repacked from its reduced slots before it
+    is yielded, so changing a yielded list changes no later power. The powers
+    are not checked again as elements: a already was, and every slot is
+    reduced mod q.
+    """
+    n, q = a.order, a.modulus
+    w = _width(n, q)
+    packed = acc = _pack(a.coeffs, w)
+    coeffs = list(a.coeffs)
+    while True:
+        yield coeffs
+        coeffs = _fold(acc * packed, n, q, w)
+        acc = _pack(coeffs, w)
 
 
 def power(a: CirculantElem, k: int) -> CirculantElem:

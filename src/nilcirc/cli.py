@@ -279,7 +279,12 @@ def cmd_scan(args) -> int:
     # The first cell is decided now, before --out is opened: a composite p
     # fails its first split, and an existing file is left untouched.
     cells = itertools.chain([next(cells)], cells)
-    total = args.n_max * (args.m_max - m_lo + 1)
+    m_count = args.m_max - m_lo + 1
+    total = args.n_max * m_count
+    if args.verify:  # the oracle's coefficients: m_count times the sum of n**2
+        n = args.n_max
+        nilpotence.check_budget("scan --verify", m_count * n * (n + 1) * (2 * n + 1) // 6,
+                                nilpotence.VERIFY_BUDGET)
     summary = {"cells": total, "nilpotent": 0, "disagreements": []}
     if args.verify:
         summary["agreements"] = 0
@@ -410,7 +415,8 @@ def _identities_random(args) -> int:
     # Checked before the first draw, which builds n coefficients.
     _check_int("n", args.n, 1)
     trials = args.random_trials
-    nilpotence.check_identities_budget(trials * args.n * args.p.bit_length())
+    nilpotence.check_budget("identities", trials * args.n * args.p.bit_length(),
+                            nilpotence.IDENTITIES_BUDGET)
     rng = random.Random(args.seed)
     frob_pass = geo_pass = 0
     for _ in range(trials):

@@ -26,11 +26,18 @@ from .numutil import _check_int, factorize, is_prime, p_adic_valuation, pow_chec
 # point n = m = p = 4093 about 5 s on a 2-CPU machine.
 IDENTITIES_BUDGET = 2**12
 
+# Work budget of `nilcirc scan --verify`, in coefficients: the number of m
+# values times the sum of n**2 over n <= n_max, since the oracle's walk on a
+# cell of order n reduces up to n powers of n coefficients each. The 128 x 128
+# grid over Z_2 counts about 9.1e7 and takes about 14 s at --jobs 1 on a
+# 2-CPU machine; 4096 x 4096 counts about 9.4e13.
+VERIFY_BUDGET = 2**27
 
-def check_identities_budget(work: int) -> None:
-    """Raise BudgetExceeded if work, counted as above, exceeds IDENTITIES_BUDGET."""
-    if work > IDENTITIES_BUDGET:
-        raise BudgetExceeded(f"identities work {work} exceeds budget {IDENTITIES_BUDGET}")
+
+def check_budget(what: str, work: int, budget: int) -> None:
+    """Raise BudgetExceeded if work exceeds budget, before any of it is done."""
+    if work > budget:
+        raise BudgetExceeded(f"{what} work {work} exceeds budget {budget}")
 
 
 class ZmClause(enum.Enum):
@@ -191,7 +198,7 @@ def witness_nonvanishing(n: int, m: int, p: int) -> tuple[ZpVerdict, CirculantEl
             f"not applicable: a={v.a} < b={v.b}, T is already zero"
             " and the expansion is bypassed"
         )
-    check_identities_budget(n)  # before T, which has n coefficients
+    check_budget("identities", n, IDENTITIES_BUDGET)  # before T, which has n coefficients
     qdiv, rdiv = divmod(v.a, v.b)
     t = circring.geom_sum(n, m, p)
     computed = circring.power(t, v.index - 1)

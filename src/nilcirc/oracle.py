@@ -18,11 +18,10 @@ from .numutil import _check_int, is_prime
 def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
     """Smallest k in [1, bound] with a**k = 0, by iterated multiplication."""
     _check_int("bound", bound, 1)
-    acc = a
-    for k in range(1, bound + 1):
-        if circring.is_zero(acc):
+    # range comes first, so the walk stops without computing a**(bound + 1).
+    for k, coeffs in zip(range(1, bound + 1), circring.powers(a)):
+        if not any(coeffs):
             return k
-        acc = circring.mul(acc, a)
     return None
 
 

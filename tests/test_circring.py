@@ -13,6 +13,7 @@ from nilcirc.circring import (
     mul,
     multiples_indicator,
     power,
+    powers,
     scalar_mul,
     shift_power,
     zero,
@@ -297,3 +298,35 @@ def test_power_matches_iterated_multiplication_near_int_limit(coeffs, k):
     for _ in range(k):
         expected = mul(expected, a)
     assert power(a, k) == expected
+
+
+# Moduli and orders whose slot widths, n*(q-1)**2 in whole bytes, reach every
+# path of the packing: the array widths 1, 2, 4 and 8 bytes and the
+# int.to_bytes widths between and above them.
+POWERS_MODULI = (2, 3, 251, 4093, 65537, 2**31 - 1, 2**61 - 1, 2**64 - 59)
+POWERS_ORDERS = (1, 2, 5, 16, 33, 64)
+
+
+def test_powers_moduli_reach_every_slot_width():
+    widths = {((n * (q - 1) ** 2).bit_length() + 7) // 8
+              for q in POWERS_MODULI for n in POWERS_ORDERS}
+    assert {1, 2, 3, 4, 5, 8, 16, 17} <= widths
+
+
+@pytest.mark.parametrize("q", POWERS_MODULI)
+def test_powers_yields_every_power(q):
+    rng = random.Random(q)
+    for n in POWERS_ORDERS:
+        a = CirculantElem(n, q, tuple(rng.randrange(q) for _ in range(n)))
+        walk = powers(a)
+        for k in range(1, 13):
+            assert next(walk) == list(power(a, k).coeffs)
+
+
+def test_powers_ignores_changes_to_a_yielded_list():
+    a = CirculantElem(4, 7, (1, 2, 0, 5))
+    walk = powers(a)
+    next(walk)[:] = [0, 0, 0, 0]
+    second = next(walk)
+    second[0] = 3
+    assert next(walk) == list(power(a, 3).coeffs)

@@ -145,6 +145,47 @@ def test_scan_zm_csv_golden(capsys):
     assert out == (GOLDEN / "scan_zm_12x12_verify.csv").read_text()
 
 
+def test_scan_zp_verify_csv_golden(capsys):
+    code, out, _ = run(
+        capsys, "scan", "--p", "3", "--n-max", "12", "--m-max", "12",
+        "--verify", "--format", "csv", "--jobs", "1",
+    )
+    assert code == 0
+    assert out == (GOLDEN / "scan_zp_12x12_verify.csv").read_text()
+
+
+@pytest.mark.parametrize("grid", [
+    ("--p", "2", "--n-max", "1", "--m-max", str(2**64 - 1)),  # one row, the whole m axis
+    ("--p", "2", "--n-max", "4096", "--m-max", "4096"),
+    ("--zm", "--n-max", "4096", "--m-max", "4096"),
+])
+def test_scan_verify_beyond_work_budget_is_refused(tmp_path, grid):
+    target = tmp_path / "report.csv"
+    target.write_text("earlier report\n")
+    start = time.perf_counter()
+    proc = _cli_process("scan", *grid, "--verify", "--out", str(target))
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: BudgetExceeded: scan --verify work ")
+    assert target.read_text() == "earlier report\n"  # refused before --out is opened
+
+
+def test_scan_verify_budget_counts_m_values_times_sum_of_squares(capsys, monkeypatch):
+    # 3 values of m times 1 + 4 + 9 is 42: m in [1, 3] over Z_p, m in [2, 4] over Z_m.
+    monkeypatch.setattr(nilpotence, "VERIFY_BUDGET", 42)
+    assert run(capsys, "scan", "--p", "2", "--n-max", "3", "--m-max", "3", "--verify")[0] == 0
+    assert run(capsys, "scan", "--zm", "--n-max", "3", "--m-max", "4", "--verify")[0] == 0
+    for grid in (("--p", "2", "--n-max", "3", "--m-max", "4"),
+                 ("--p", "2", "--n-max", "4", "--m-max", "2"),  # 2 * 30
+                 ("--zm", "--n-max", "3", "--m-max", "5")):
+        code, out, err = run(capsys, "scan", *grid, "--verify")
+        assert (code, out) == (3, "")
+        assert "BudgetExceeded" in err
+    # the closed form alone has no oracle work to count
+    assert run(capsys, "scan", "--p", "2", "--n-max", "4", "--m-max", "4")[0] == 0
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_scan_zp_golden(capsys, fmt):
     code, out, _ = run(capsys, "scan", "--p", "3", "--n-max", "12", "--m-max", "12",

@@ -37,6 +37,73 @@ def test_oracle_self_consistency():
     assert seen_nilpotent > 0
 
 
+def _walked(monkeypatch):
+    """Count, per search, the powers the oracle consumes and the products it computes."""
+    consumed, products = [], [0]
+    real_powers, real_fold = circring.powers, circring._fold
+
+    def counted_powers(a):
+        consumed.append(0)
+        for coeffs in real_powers(a):
+            consumed[-1] += 1
+            yield coeffs
+
+    def counted_fold(*args):
+        products[0] += 1
+        return real_fold(*args)
+
+    monkeypatch.setattr(circring, "powers", counted_powers)
+    monkeypatch.setattr(circring, "_fold", counted_fold)
+    return consumed, products
+
+
+@pytest.mark.parametrize("elem, bound, index", [
+    (circring.geom_sum(8, 2, 2), 8, 8),  # nilpotent: the last power inspected is zero
+    (circring.geom_sum(3, 6, 2), 3, 1),  # T itself is zero: no product at all
+    (circring.geom_sum(8, 4, 2), 8, 3),
+    (circring.geom_sum(6, 6, 3), 6, 2),
+    (circring.identity(5, 3), 10, None),  # never zero: bound powers
+    (circring.geom_sum(5, 2, 2), 5, None),
+])
+def test_min_nilpotent_index_step_count(monkeypatch, elem, bound, index):
+    consumed, products = _walked(monkeypatch)
+    assert min_nilpotent_index(elem, bound) == index
+    steps = bound if index is None else index
+    assert consumed == [steps]
+    assert products == [steps - 1]
+
+
+def _mul_walk(a, bound):
+    """The index search written with mul and is_zero, one multiply per step."""
+    acc = a
+    for k in range(1, bound + 1):
+        if circring.is_zero(acc):
+            return k
+        acc = circring.mul(acc, a)
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 12, 251, (2**32 - 5) ** 2, 2**64 - 59, 2**64 - 1])
+def test_min_nilpotent_index_equals_mul_walk(q):
+    # Coefficients that are multiples of d with d**2 = 0 mod q make elements
+    # of index 2; plain random coefficients are rarely nilpotent.
+    rng = random.Random(q)
+    squares = [d for d in (2, 3, 6, 2**32 - 5) if d < q and d * d % q == 0]
+    seen = set()
+    for _ in range(60):
+        n = rng.randrange(1, 17)
+        d = rng.choice(squares + [1])
+        a = circring.CirculantElem(n, q, tuple(d * rng.randrange(q // d) for _ in range(n)))
+        found = min_nilpotent_index(a, 2 * n)
+        assert found == _mul_walk(a, 2 * n)
+        seen.add(found is None)
+    for n, m in [(4, 2), (8, 4), (6, 6), (9, 3)]:
+        t = circring.geom_sum(n, m, q)
+        assert min_nilpotent_index(t, n) == _mul_walk(t, n)
+    if squares:  # both outcomes were compared
+        assert seen == {True, False}
+
+
 def test_frobenius_examples():
     assert frobenius_check(circring.identity(4, 2), circring.shift_power(4, 2, 1), 1)
     a = circring.CirculantElem(6, 5, (1, 4, 0, 2, 2, 3))
