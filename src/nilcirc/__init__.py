@@ -20,7 +20,6 @@ from .nilpotence import (
     decide_zm_via_primes,
     decide_zp,
     index_expansion,
-    index_formula,
 )
 from .oracle import frobenius_check, geometric_identity_check, min_nilpotent_index
 
@@ -49,7 +48,6 @@ __all__ = [
     "geom_sum",
     "geometric_identity_check",
     "index_expansion",
-    "index_formula",
     "min_nilpotent_index",
     "shift_power",
     "validate",

@@ -45,10 +45,6 @@ def _check_match(a: CirculantElem, b: CirculantElem) -> None:
 # constructors
 
 
-def zero(n: int, q: int) -> CirculantElem:
-    return CirculantElem(n, q, (0,) * n)
-
-
 def identity(n: int, q: int) -> CirculantElem:
     return CirculantElem(n, q, (1 % q,) + (0,) * (n - 1))
 

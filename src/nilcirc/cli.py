@@ -43,17 +43,12 @@ _CSV_COLUMNS = {
     "zm": ("n", "m", "nilpotent", "clause", "oracle_index", "agree"),
 }
 
-# Where each column sits in a cell: (n, m, nilpotent, index or clause), then
-# (oracle_index, agree) on a verified cell.
-_POSITION = {"n": 0, "m": 1, "nilpotent": 2, "index": 3, "clause": 3,
-             "oracle_index": 4, "agree": 5}
-
 # Per format: a cell's text up to m, after n is filled in; the text of each
-# column after m; and the cell's end. A JSON cell is laid out as
-# json.dumps(cells, indent=2) lays out each of its items.
+# column after m; the cell's end; and the text between two cells. A JSON cell
+# is laid out as json.dumps(report, indent=2) lays out each item of "cells".
 _TEMPLATES = {
-    "csv": ("%d,", ",{text}", "\n"),
-    "json": ('  {\n    "n": %d,\n    "m": ', ',\n    "{key}": {text}', "\n  }"),
+    "csv": ("%d,", ",{text}", "\n", ""),
+    "json": ('    {\n      "n": %d,\n      "m": ', ',\n      "{key}": {text}', "\n    }", ",\n"),
 }
 
 
@@ -132,18 +127,15 @@ def _pooled(pool, p, cells, chunk: int, window: int):
 
 def _tally(cells, summary: dict):
     """Pass the cells through, then add them to the summary counters."""
-    nilpotent = agreements = 0
+    nilpotent = 0
     for cell in cells:
         nilpotent += cell[2]
-        if len(cell) > 4:  # verified
-            if cell[5]:
-                agreements += 1
-            else:
-                summary["disagreements"].append({"n": cell[0], "m": cell[1]})
+        if len(cell) > 4 and not cell[5]:  # a verified cell that disagrees
+            summary["disagreements"].append({"n": cell[0], "m": cell[1]})
         yield cell
     summary["nilpotent"] = nilpotent
     if "agreements" in summary:
-        summary["agreements"] = agreements
+        summary["agreements"] = summary["cells"] - len(summary["disagreements"])
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +158,7 @@ def _cell_texts(cells, fmt: str, columns: tuple):
     on its verdict and the oracle's result, which take few distinct values
     (over Z_p one index per (a, b)), so each is rendered once and reused.
     """
-    head, column, end = _TEMPLATES[fmt]
+    head, column, end, _ = _TEMPLATES[fmt]
     row = None
     tails = {}
     for cell in cells:
@@ -176,8 +168,9 @@ def _cell_texts(cells, fmt: str, columns: tuple):
         rest = cell[2:]
         tail = tails.get(rest)
         if tail is None:
-            values = cell + (None,) * (6 - len(cell))  # no oracle columns unless verified
-            texts = (column.format(key=key, text=_text(values[_POSITION[key]], fmt))
+            # An unverified cell has no oracle fields, so its columns read None.
+            fields = dict(zip(("nilpotent", columns[3], "oracle_index", "agree"), rest))
+            texts = (column.format(key=key, text=_text(fields.get(key), fmt))
                      for key in columns[2:])
             tail = tails[rest] = "".join(texts) + end
         yield row_head + str(cell[1]) + tail
@@ -203,19 +196,18 @@ def _render_scan_human(par: dict, s: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_json_array(out, items, pad: str, dumps) -> None:
-    """Stream a non-empty array with the bytes of json.dumps(list, indent=2).
+def _write_json_array(out, items) -> None:
+    """Stream a non-empty array of objects with the bytes of json.dumps(list, indent=2).
 
-    The items go 64 at a time to dumps, which renders them as json.dumps(list,
-    indent=2) lays them out between its brackets (for objects, one call per
-    item is about 15 % slower). Each line after the first is prefixed with pad.
+    The items go 64 at a time to json.dumps, and each batch's text between its
+    brackets is written (one call per object is about 15 % slower).
     """
     items = iter(items)
     sep = "[\n"
     while batch := list(itertools.islice(items, 64)):
-        out.write(sep + pad + dumps(batch).replace("\n", "\n" + pad))
+        out.write(sep + json.dumps(batch, indent=2)[2:-2])
         sep = ",\n"
-    out.write("\n" + pad + "]")
+    out.write("\n]")
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +301,26 @@ def cmd_scan(args) -> int:
             chunk = max(1, min(total // (jobs * 4), _MAX_CHUNK))
             cells = _pooled(pool, p, cells, chunk, 2 * jobs)
         cells = _tally(cells, summary)
-        if args.format == "csv":
-            columns = _CSV_COLUMNS[mode]
-            out.write(",".join(columns) + "\n")
-            texts = _cell_texts(cells, "csv", columns)
-            while batch := list(itertools.islice(texts, 1024)):
-                out.write("".join(batch))
-        elif args.format == "json":
-            columns = _CSV_COLUMNS[mode][:4] + (("oracle_index", "agree") if args.verify else ())
-            # The bytes of json.dumps(report, indent=2), framed around the cells.
-            out.write(json.dumps({"parameters": parameters}, indent=2)[:-2] + ',\n  "cells": ')
-            _write_json_array(out, _cell_texts(cells, "json", columns), "  ", ",\n".join)
-            out.write(",\n" + json.dumps({"summary": summary}, indent=2)[2:] + "\n")
-        else:
+        if args.format == "human":
             for _ in cells:  # the summary needs every cell
                 pass
             out.write(_render_scan_human(parameters, summary))
+        else:
+            columns = _CSV_COLUMNS[mode]
+            if args.format == "csv":
+                out.write(",".join(columns) + "\n")
+            else:
+                columns = columns[:4] + (("oracle_index", "agree") if args.verify else ())
+                # The bytes of json.dumps(report, indent=2), framed around the cells.
+                out.write(json.dumps({"parameters": parameters}, indent=2)[:-2]
+                          + ',\n  "cells": [\n')
+            texts = _cell_texts(cells, args.format, columns)
+            sep = _TEMPLATES[args.format][3]
+            out.write(next(texts))  # a grid has one cell at least
+            while batch := list(itertools.islice(texts, 1024)):
+                out.write(sep + sep.join(batch))
+            if args.format == "json":
+                out.write("\n  ],\n" + json.dumps({"summary": summary}, indent=2)[2:] + "\n")
     return EXIT_DISAGREE if summary["disagreements"] else EXIT_OK
 
 
@@ -364,8 +360,7 @@ def cmd_lemma1(args) -> int:
     if args.json and args.c is not None:
         print(json.dumps(report(inst.c), indent=2))
     elif args.json:
-        _write_json_array(sys.stdout, map(report, targets), "",
-                          lambda batch: json.dumps(batch, indent=2)[2:-2])
+        _write_json_array(sys.stdout, map(report, targets))
         print()
     else:
         print(

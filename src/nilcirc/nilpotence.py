@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import circring
 from .circring import CirculantElem
-from .errors import BudgetExceeded, InvalidInput, InvalidPrime
-from .numutil import _check_int, factorize, is_prime, p_adic_valuation, pow_checked
+from .errors import BudgetExceeded, InvalidInput
+from .numutil import _check_int, factorize, p_adic_valuation, pow_checked
 
 # Work budget of the identity checks, in ring coefficients: the order n of the
 # witness's T at a point, and trials * n * p.bit_length() over a random run of
@@ -79,17 +79,8 @@ class ZmVerdict:
 # Z_p
 
 
-def index_formula(a: int, b: int, p: int) -> int:
-    """ceil(p**a / (p**b - 1)) with checked arithmetic; both operands are >= 1."""
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
-    _check_int("b", b, 1)
-    # The index of T(p**a, p**b), whose p-free parts are both 1.
-    return decide_zp(pow_checked(p, a), pow_checked(p, b), p).index
-
-
 def index_expansion(a: int, b: int, p: int) -> int:
-    """The same index as p**r * (1 + p**b + ... + p**(b*(q-1))) + 1, a = b*q + r.
+    """ceil(p**a / (p**b - 1)) as p**r * (1 + p**b + ... + p**(b*(q-1))) + 1, a = b*q + r.
 
     Only defined for a >= b (one full division step); below that T itself is
     already zero and the expansion is bypassed.

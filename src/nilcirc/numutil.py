@@ -146,8 +146,7 @@ def pow_checked(base: int, exp: int) -> int:
     """base**exp, or Overflow if the exact value leaves the supported range."""
     _check_int("base", base, 0)
     _check_int("exp", exp, 0)
-    if base > 1 and exp * math.log2(base) > 66:
-        # log2 screen is conservative either way; the exact check below settles it.
+    if base > 1 and exp >= 64:  # 2**64 is out of range; exp < 64 keeps base**exp to 4032 bits
         raise Overflow(f"{base}**{exp} exceeds the supported range")
     result = base**exp
     if result > INT_LIMIT:

@@ -11,7 +11,7 @@ from typing import Optional
 
 from . import circring
 from .circring import CirculantElem
-from .errors import InvalidInput
+from .errors import InvalidPrime
 from .numutil import _check_int, is_prime
 
 
@@ -28,7 +28,7 @@ def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
 def frobenius_check(a: CirculantElem, b: CirculantElem, k: int) -> bool:
     """x -> x**(p**k) must be a ring homomorphism in characteristic p."""
     if not is_prime(a.modulus):
-        raise InvalidInput(f"modulus {a.modulus} is not prime")
+        raise InvalidPrime(f"modulus {a.modulus} is not prime")
     _check_int("k", k, 0)
 
     def frob(x: CirculantElem) -> CirculantElem:

@@ -16,9 +16,12 @@ from nilcirc.circring import (
     powers,
     scalar_mul,
     shift_power,
-    zero,
 )
 from nilcirc.errors import InvalidInput, ShapeMismatch
+
+
+def zero(n, q):
+    return CirculantElem(n, q, (0,) * n)
 
 
 @st.composite

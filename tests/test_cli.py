@@ -769,8 +769,10 @@ def test_identities_random_large_prime(capsys):
     assert "frobenius    pass (8/8)" in out
 
 
-def test_identities_random_composite_p(capsys):
-    code, _, err = run(capsys, "identities", "--random-trials", "5", "--p", "4", "--n", "3")
+@pytest.mark.parametrize("p", ["4", "0", "-7"])
+def test_identities_random_composite_p(capsys, p):
+    # Without the prime check up front, 0 and -7 raise ValueError out of randrange.
+    code, _, err = run(capsys, "identities", "--random-trials", "5", "--p", p, "--n", "3")
     assert code == 3
     assert "InvalidPrime" in err
 

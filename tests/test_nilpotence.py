@@ -10,7 +10,6 @@ from nilcirc.nilpotence import (
     decide_zm_via_primes,
     decide_zp,
     index_expansion,
-    index_formula,
     witness_nonvanishing,
 )
 from nilcirc.numutil import factorize
@@ -81,16 +80,10 @@ def test_zp_json_schema():
 
 
 def test_index_formula_examples():
-    assert index_formula(3, 1, 2) == 8
-    assert index_formula(0, 2, 3) == 1
-    assert index_formula(2, 1, 3) == 5
-
-
-def test_index_formula_rejects_bad_input():
-    with pytest.raises(InvalidPrime):
-        index_formula(3, 1, 6)
-    with pytest.raises(InvalidInput):
-        index_formula(3, 0, 2)
+    # ceil(p**a / (p**b - 1)), the index of T(p**a, p**b)
+    assert decide_zp(2**3, 2, 2).index == 8
+    assert decide_zp(1, 3**2, 3).index == 1
+    assert decide_zp(3**2, 3, 3).index == 5
 
 
 def test_index_expansion_examples():
@@ -110,7 +103,7 @@ def test_expansion_equals_formula():
     for p in (2, 3, 5, 7):
         for b in range(1, 5):
             for a in range(b, 13):
-                assert index_expansion(a, b, p) == index_formula(a, b, p)
+                assert index_expansion(a, b, p) == decide_zp(p**a, p**b, p).index
 
 
 # ---------------------------------------------------------------------------

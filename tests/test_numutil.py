@@ -198,6 +198,11 @@ def test_pow_checked_edges():
     assert pow_checked(INT_LIMIT, 1) == INT_LIMIT
     with pytest.raises(Overflow):
         pow_checked(INT_LIMIT, 2)
+    # an exponent at the limit is answered at once, whatever the base
+    assert pow_checked(0, INT_LIMIT) == 0
+    assert pow_checked(1, INT_LIMIT) == 1
+    with pytest.raises(Overflow):
+        pow_checked(2, INT_LIMIT)
     with pytest.raises(InvalidInput):
         pow_checked(-2, 3)
     with pytest.raises(InvalidInput):
