@@ -8,6 +8,7 @@ canonical in [0, q).
 
 from __future__ import annotations
 
+import functools
 import sys
 from array import array
 from dataclasses import dataclass
@@ -126,50 +127,63 @@ def _unpack(value: int, n: int, w: int):
     return slots
 
 
-def _width(n: int, q: int) -> int:
-    """Bytes per slot that hold n*(q-1)**2, the largest folded coefficient."""
-    return ((n * (q - 1) ** 2).bit_length() + 7) // 8
+@functools.lru_cache(maxsize=64)  # mul calls it per product; masks cost more than small ones
+def _layout(n: int, q: int) -> tuple:
+    """Bytes per slot w, and the constants (w, s, r, even, low) of _reduce.
+
+    A folded slot v is at most top = n*(q-1)**2 < 2**s / q, so r = ceil(2**s / q)
+    gives floor(v*r / 2**s) = floor(v / q) (Granlund and Montgomery, "Division by
+    invariant integers using multiplication", PLDI 1994). Two slots hold top*r.
+    """
+    top = n * (q - 1) ** 2
+    s = top.bit_length() + q.bit_length()
+    r = -(-(1 << s) // q)
+    w = ((top * r).bit_length() + 15) // 16
+    groups = (n + 1) // 2  # of two slots: even masks the lower one, low a quotient
+    even = int.from_bytes(((1 << 8 * w) - 1).to_bytes(2 * w, "little") * groups, "little")
+    low = int.from_bytes(((1 << (16 * w - s)) - 1).to_bytes(2 * w, "little") * groups, "little")
+    return w, s, r, even, low
 
 
-def _fold(prod: int, n: int, q: int, w: int) -> list:
-    """The product of two packed vectors, folded modulo x**n - 1, each slot mod q."""
+def _reduce(prod: int, n: int, q: int, layout: tuple) -> int:
+    """prod folded modulo x**n - 1 and reduced mod q: even slots, then odd, none carries."""
+    w, s, r, even, low = layout
     shift = 8 * n * w
-    folded = (prod >> shift) + (prod & ((1 << shift) - 1))
-    return [v % q for v in _unpack(folded, n, w)]
+    v = (prod >> shift) + (prod & ((1 << shift) - 1))
+    lo, hi = v & even, (v >> 8 * w) & even
+    lo -= q * (((lo * r) >> s) & low)
+    hi -= q * (((hi * r) >> s) & low)
+    return lo | (hi << 8 * w)
 
 
 def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
     """Cyclic convolution: result[k] = sum of a[i]*b[j] over i+j = k mod n.
 
     Kronecker substitution: each vector is packed into one int with w bytes per
-    coefficient, the two ints are multiplied once (Karatsuba in CPython), and the
-    product is folded modulo x**n - 1. A folded coefficient sums n products of
-    residues, at most n*(q-1)**2, so w bytes holding that bound keep every slot
-    exact, unfolded or folded, at any modulus.
+    coefficient, the two ints are multiplied once (Karatsuba in CPython), and
+    _reduce folds the product modulo x**n - 1 and reduces it mod q. Every slot,
+    unfolded or folded, is at most n*(q-1)**2, so it is exact at any modulus.
     """
     _check_match(a, b)
     n, q = a.order, a.modulus
-    w = _width(n, q)
-    return CirculantElem(n, q, tuple(_fold(_pack(a.coeffs, w) * _pack(b.coeffs, w), n, q, w)))
+    layout = _layout(n, q)
+    prod = _pack(a.coeffs, layout[0]) * _pack(b.coeffs, layout[0])
+    return CirculantElem(n, q, tuple(_unpack(_reduce(prod, n, q, layout), n, layout[0])))
 
 
 def powers(a: CirculantElem):
-    """The coefficient lists of a, a**2, a**3, ..., without end.
+    """The packed powers a, a**2, a**3, ..., without end, each 0 exactly when zero.
 
-    a is packed once; each next power is one multiply of the packed previous
-    power by packed a, folded, and repacked from its reduced slots before it
-    is yielded, so changing a yielded list changes no later power. The powers
-    are not checked again as elements: a already was, and every slot is
-    reduced mod q.
+    Coefficient j is canonical in slot j, of _layout's w bytes. a is packed once;
+    each next power is one multiply by it and one _reduce, and is not checked
+    again as an element: a already was, and every slot is reduced mod q.
     """
     n, q = a.order, a.modulus
-    w = _width(n, q)
-    packed = acc = _pack(a.coeffs, w)
-    coeffs = list(a.coeffs)
+    layout = _layout(n, q)
+    packed = acc = _pack(a.coeffs, layout[0])
     while True:
-        yield coeffs
-        coeffs = _fold(acc * packed, n, q, w)
-        acc = _pack(coeffs, w)
+        yield acc
+        acc = _reduce(acc * packed, n, q, layout)
 
 
 def power(a: CirculantElem, k: int) -> CirculantElem:

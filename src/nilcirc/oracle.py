@@ -19,8 +19,8 @@ def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
     """Smallest k in [1, bound] with a**k = 0, by iterated multiplication."""
     _check_int("bound", bound, 1)
     # range comes first, so the walk stops without computing a**(bound + 1).
-    for k, coeffs in zip(range(1, bound + 1), circring.powers(a)):
-        if not any(coeffs):
+    for k, acc in zip(range(1, bound + 1), circring.powers(a)):
+        if not acc:
             return k
     return None
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from nilcirc.circring import (
     CirculantElem,
+    _layout,
+    _reduce,
     add,
     geom_sum,
     identity,
@@ -234,10 +237,11 @@ def test_to_dense_identity():
 
 
 def _dense_matmul(x, y, q):
-    n = len(x)
+    """x @ y mod q; x may have any number of rows."""
+    n = len(y)
     return [
-        [sum(x[i][k] * y[k][j] for k in range(n)) % q for j in range(n)]
-        for i in range(n)
+        [sum(row[k] * y[k][j] for k in range(n)) % q for j in range(n)]
+        for row in x
     ]
 
 
@@ -303,16 +307,22 @@ def test_power_matches_iterated_multiplication_near_int_limit(coeffs, k):
     assert power(a, k) == expected
 
 
-# Moduli and orders whose slot widths, n*(q-1)**2 in whole bytes, reach every
-# path of the packing: the array widths 1, 2, 4 and 8 bytes and the
-# int.to_bytes widths between and above them.
+def unpacked(acc, a):
+    """The coefficients of a packed power of a, read slot by slot with shifts."""
+    n, q = a.order, a.modulus
+    bits = 8 * _layout(n, q)[0]
+    return [(acc >> (bits * j)) & ((1 << bits) - 1) for j in range(n)]
+
+
+# Moduli and orders whose slot widths, from _layout, reach every path of the
+# packing: the array widths 1, 2, 4 and 8 bytes and the int.to_bytes widths
+# between and above them.
 POWERS_MODULI = (2, 3, 251, 4093, 65537, 2**31 - 1, 2**61 - 1, 2**64 - 59)
 POWERS_ORDERS = (1, 2, 5, 16, 33, 64)
 
 
 def test_powers_moduli_reach_every_slot_width():
-    widths = {((n * (q - 1) ** 2).bit_length() + 7) // 8
-              for q in POWERS_MODULI for n in POWERS_ORDERS}
+    widths = {_layout(n, q)[0] for q in POWERS_MODULI for n in POWERS_ORDERS}
     assert {1, 2, 3, 4, 5, 8, 16, 17} <= widths
 
 
@@ -323,13 +333,49 @@ def test_powers_yields_every_power(q):
         a = CirculantElem(n, q, tuple(rng.randrange(q) for _ in range(n)))
         walk = powers(a)
         for k in range(1, 13):
-            assert next(walk) == list(power(a, k).coeffs)
+            assert unpacked(next(walk), a) == list(power(a, k).coeffs)
 
 
-def test_powers_ignores_changes_to_a_yielded_list():
-    a = CirculantElem(4, 7, (1, 2, 0, 5))
+@st.composite
+def walk_start(draw):
+    """One element with n in [1, 64] and a modulus up to 2**64 - 1."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    q = draw(st.one_of(st.integers(2, 16), st.integers(2, 2**64 - 1)))
+    return CirculantElem(n, q, tuple(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))))
+
+
+@given(walk_start())
+@settings(max_examples=60, deadline=None)
+def test_powers_match_power(a):
     walk = powers(a)
-    next(walk)[:] = [0, 0, 0, 0]
-    second = next(walk)
-    second[0] = 3
-    assert next(walk) == list(power(a, 3).coeffs)
+    for k in range(1, 9):
+        assert unpacked(next(walk), a) == list(power(a, k).coeffs)
+
+
+# The reduction's edge: every coefficient q - 1 makes each folded slot of the
+# first product exactly n*(q-1)**2; odd n leaves the top even slot unpaired.
+@pytest.mark.parametrize("q", (2, 3, 2**32 - 5, 2**64 - 59, 2**64 - 1))
+@pytest.mark.parametrize("n", (1, 2, 3, 47, 48))
+def test_reduce_at_the_slot_bound_matches_dense(q, n):
+    top = CirculantElem(n, q, (q - 1,) * n)
+    dense = to_dense(top)
+    assert to_dense(mul(top, top)) == _dense_matmul(dense, dense, q)
+    row = [dense[0]]
+    for acc in itertools.islice(powers(top), 6):
+        assert unpacked(acc, top) == row[0]
+        row = _dense_matmul(row, dense, q)
+
+
+@pytest.mark.parametrize("q", list(range(2, 40)) + [2**32 - 5, 2**64 - 59, 2**64 - 1])
+def test_reduce_is_exact_on_the_top_slot_values(q):
+    # The reciprocal's quotient would err first on the largest slot values
+    # congruent to q - 1: slots at the bound n*(q-1)**2 and at q - 1 below it.
+    for n in range(1, 12):
+        layout = _layout(n, q)
+        bits, top = 8 * layout[0], n * (q - 1) ** 2
+        worst = top - (top + 1) % q
+        for slots in ([top - j for j in range(n)], [worst - q * j for j in range(n)]):
+            slots = [max(v, 0) for v in slots]
+            packed = sum(v << (bits * j) for j, v in enumerate(slots))
+            expected = sum(v % q << (bits * j) for j, v in enumerate(slots))
+            assert _reduce(packed, n, q, layout) == expected

@@ -40,20 +40,20 @@ def test_oracle_self_consistency():
 def _walked(monkeypatch):
     """Count, per search, the powers the oracle consumes and the products it computes."""
     consumed, products = [], [0]
-    real_powers, real_fold = circring.powers, circring._fold
+    real_powers, real_reduce = circring.powers, circring._reduce
 
     def counted_powers(a):
         consumed.append(0)
-        for coeffs in real_powers(a):
+        for acc in real_powers(a):
             consumed[-1] += 1
-            yield coeffs
+            yield acc
 
-    def counted_fold(*args):
+    def counted_reduce(*args):
         products[0] += 1
-        return real_fold(*args)
+        return real_reduce(*args)
 
     monkeypatch.setattr(circring, "powers", counted_powers)
-    monkeypatch.setattr(circring, "_fold", counted_fold)
+    monkeypatch.setattr(circring, "_reduce", counted_reduce)
     return consumed, products
 
 
