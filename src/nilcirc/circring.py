@@ -127,7 +127,8 @@ def _unpack(value: int, n: int, w: int):
     return slots
 
 
-@functools.lru_cache(maxsize=64)  # mul calls it per product; masks cost more than small ones
+# Cached: mul calls it per product, and the masks cost more than a small product.
+@functools.lru_cache(maxsize=64)
 def _layout(n: int, q: int) -> tuple:
     """Bytes per slot w, and the constants (w, s, r, even, low) of _reduce.
 

@@ -341,7 +341,8 @@ def walk_start(draw):
     """One element with n in [1, 64] and a modulus up to 2**64 - 1."""
     n = draw(st.integers(min_value=1, max_value=64))
     q = draw(st.one_of(st.integers(2, 16), st.integers(2, 2**64 - 1)))
-    return CirculantElem(n, q, tuple(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))))
+    coeffs = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    return CirculantElem(n, q, tuple(draw(coeffs)))
 
 
 @given(walk_start())
@@ -368,8 +369,9 @@ def test_reduce_at_the_slot_bound_matches_dense(q, n):
 
 @pytest.mark.parametrize("q", list(range(2, 40)) + [2**32 - 5, 2**64 - 59, 2**64 - 1])
 def test_reduce_is_exact_on_the_top_slot_values(q):
-    # The reciprocal's quotient would err first on the largest slot values
-    # congruent to q - 1: slots at the bound n*(q-1)**2 and at q - 1 below it.
+    # A reciprocal too short errs first on the largest slot values congruent to
+    # q - 1. One call counts down from the bound n*(q-1)**2, the other in steps
+    # of q from the largest value at most the bound that is congruent to q - 1.
     for n in range(1, 12):
         layout = _layout(n, q)
         bits, top = 8 * layout[0], n * (q - 1) ** 2
