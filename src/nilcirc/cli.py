@@ -15,7 +15,6 @@ import os
 import random
 import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from . import circring, congruence, nilpotence, oracle
@@ -28,9 +27,11 @@ EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 
 
-# Cells per chunk sent to a verify worker: enough to amortize the round trip,
-# few enough that the chunks in flight stay small on any grid.
-_MAX_CHUNK = 1024
+# Cells per block: a scan decides, tallies, renders and writes one row n and
+# at most this many consecutive values of m in one step. A chunk sent to a
+# verify worker holds at most as many: enough to amortize the round trip, few
+# enough that the chunks in flight stay small on any grid.
+_BLOCK = 2**10
 
 # Splits of m kept for the rows after the first. A longer m axis is split
 # again in every row past this many values, so a scan's memory stays bounded
@@ -53,146 +54,132 @@ _TEMPLATES = {
 
 
 # ---------------------------------------------------------------------------
-# scan cells: each n is split once per row, each m once per scan
+# scan blocks: each n is split once per row, each m once per scan
 
 
-def _axis(table: list, ms: range, split):
-    """(m, split(m)) for each m in ms, from the table as far as it reaches.
+def _axis(table: list, ms: range, lo: int, hi: int, f) -> list:
+    """f(m) for each m in ms[lo:hi], from the table as far as it reaches.
 
     The first row fills the table as it walks, up to _AXIS_TABLE_MAX values,
-    so the table never holds more than the cells already walked.
+    so the table never holds more than the cells already walked; later rows
+    compute f again past it.
     """
-    yield from table
-    for m in ms[len(table):]:
-        entry = m, split(m)
-        if len(table) < _AXIS_TABLE_MAX:
-            table.append(entry)
-        yield entry
+    values = table[lo:hi]
+    values += map(f, ms[lo + len(values):hi])
+    if len(table) == lo:  # the first row, while the table grows
+        table += values[:_AXIS_TABLE_MAX - lo]
+    return values
 
 
-def _zp_cells(p: int, n_max: int, ms: range):
-    """(n, m, nilpotent, index) of every cell over Z_p, row by row."""
-    split = functools.partial(p_adic_valuation, p=p)  # checks that p is prime
+def _blocks(p, n_max: int, ms: range):
+    """(n, block, verdicts) for each block of the grid, row by row.
+
+    A block is one row n and at most _BLOCK consecutive values of m. A verdict
+    is the index over Z_p (None when T is not nilpotent), or the clause over
+    Z_m (p is None). Each n is split once per row, each m once per scan.
+    """
+    split = nilpotence.prime_divisors if p is None else functools.partial(p_adic_valuation, p=p)
     table = []
     for n in range(1, n_max + 1):
-        a, n_star = split(n)
-        for m, (b, m_star) in _axis(table, ms, split):
-            index = nilpotence.zp_index(a, n_star, b, m_star, p)
-            yield n, m, index is not None, index
+        n_split = split(n)  # over Z_p the first split checks that p is prime
+        for lo in range(0, ms.stop - ms.start, _BLOCK):  # len() overflows past 2**63
+            block = ms[lo:lo + _BLOCK]
+            # The splits of m are not held past the verdicts: that bounds the memory.
+            yield n, block, _decide(p, n, n_split, block, _axis(table, ms, lo, lo + _BLOCK, split))
 
 
-def _zm_cells(n_max: int, ms: range):
-    """(n, m, nilpotent, clause) of every cell over Z_m, row by row."""
-    not_nilpotent = nilpotence.ZmClause.NOT_NILPOTENT
-    table = []
-    for n in range(1, n_max + 1):
-        n_primes = nilpotence.prime_divisors(n)
-        for m, m_primes in _axis(table, ms, nilpotence.prime_divisors):
-            clause = nilpotence.zm_clause(n, m, n_primes, m_primes)
-            yield n, m, clause is not not_nilpotent, clause
+def _decide(p, n: int, n_split, block: range, splits: list) -> list:
+    """The verdicts of row n's cells in block, from the splits of n and of each m."""
+    if p is None:
+        return [nilpotence.zm_clause(n, m, n_split, s) for m, s in zip(block, splits)]
+    a, n_star = n_split
+    return [nilpotence.zp_index(a, n_star, b, m_star, p) for b, m_star in splits]
 
 
 # The oracle workers are top level so a process pool can pickle them.
 
 
-def _oracle_cell(p, cell: tuple) -> tuple:
-    """The cell followed by the oracle's index and whether it agrees; p is None over Z_m."""
-    n, m, nilpotent, verdict = cell
+def _oracle_cell(p, n: int, m: int, verdict) -> tuple:
+    """The cell's verdict, the oracle's index and whether they agree; p is None over Z_m."""
     # Bound n is sound: a nilpotent n x n matrix has index at most n.
     found = oracle.min_nilpotent_index(circring.geom_sum(n, m, p or m), n)
-    # Over Z_m the verdict is a clause; over Z_p it is the index, None exactly
-    # when T is not nilpotent.
-    agree = (found is not None) == nilpotent if p is None else found == verdict
-    return (*cell, found, agree)
+    if p is None:  # over Z_m the verdict is a clause
+        return verdict, found, (found is None) == (verdict is nilpotence.ZmClause.NOT_NILPOTENT)
+    return verdict, found, found == verdict  # over Z_p the index, None when not nilpotent
 
 
-def _oracle_chunk(p, cells: list) -> list:
-    return [_oracle_cell(p, cell) for cell in cells]
+def _oracle_pieces(p, pieces: list) -> list:
+    """Each (n, block, verdicts) piece with the oracle's result for each of its cells."""
+    return [(n, block, vs, [_oracle_cell(p, n, m, v) for m, v in zip(block, vs)])
+            for n, block, vs in pieces]
 
 
-def _pooled(pool, p, cells, chunk: int, window: int):
-    """The oracle's cells in order, computed in chunks by the pool.
+def _chunks(blocks, size: int):
+    """The blocks cut and grouped into lists of pieces of size cells (the last may hold fewer)."""
+    chunk, room = [], size
+    for n, block, vs in blocks:
+        while block:
+            chunk.append((n, block[:room], vs[:room]))
+            if len(block) < room:
+                room -= len(block)
+                break
+            block, vs = block[room:], vs[room:]
+            yield chunk
+            chunk, room = [], size
+    if chunk:
+        yield chunk
+
+
+def _pooled(pool, p, chunks, window: int):
+    """The oracle's pieces in order, computed a chunk at a time by the pool.
 
     At most window chunks are in flight, so memory stays bounded by the window
     whatever the grid size.
     """
     pending = collections.deque()
-    while batch := list(itertools.islice(cells, chunk)):
+    for chunk in chunks:
         if len(pending) == window:
             yield from pending.popleft().result()
-        pending.append(pool.submit(_oracle_chunk, p, batch))
+        pending.append(pool.submit(_oracle_pieces, p, chunk))
     while pending:
         yield from pending.popleft().result()
 
 
-def _tally(cells, summary: dict):
-    """Pass the cells through, then add them to the summary counters."""
-    nilpotent = 0
-    for cell in cells:
-        nilpotent += cell[2]
-        if len(cell) > 4 and not cell[5]:  # a verified cell that disagrees
-            summary["disagreements"].append({"n": cell[0], "m": cell[1]})
-        yield cell
-    summary["nilpotent"] = nilpotent
-    if "agreements" in summary:
-        summary["agreements"] = summary["cells"] - len(summary["disagreements"])
+def _process_pool(jobs: int):
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pooled scans only
+    return ProcessPoolExecutor(jobs)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _text(value, fmt: str) -> str:
-    """A cell value as JSON, or as CSV: lowercase booleans, absent values empty."""
-    if isinstance(value, nilpotence.ZmClause):
-        value = value.value
-    if fmt == "json" or isinstance(value, bool):
-        return json.dumps(value)
-    return "" if value is None else str(value)
-
-
-def _cell_texts(cells, fmt: str, columns: tuple):
-    """The text of each cell in fmt, with the given columns.
-
-    The text up to m is made once per row. Past m, a cell's text depends only
-    on its verdict and the oracle's result, which take few distinct values
-    (over Z_p one index per (a, b)), so each is rendered once and reused.
+def _tail(key, fmt: str, columns: tuple, no) -> str:
+    """A cell's text after m, from its key: the verdict, or on a verified scan
+    (verdict, oracle index, agree). no is the verdict of a cell that is not
+    nilpotent. As CSV, booleans are lowercase and absent values empty.
     """
-    head, column, end, _ = _TEMPLATES[fmt]
-    row = None
-    tails = {}
-    for cell in cells:
-        if cell[0] != row:
-            row = cell[0]
-            row_head = head % row
-        rest = cell[2:]
-        tail = tails.get(rest)
-        if tail is None:
-            # An unverified cell has no oracle fields, so its columns read None.
-            fields = dict(zip(("nilpotent", columns[3], "oracle_index", "agree"), rest))
-            texts = (column.format(key=key, text=_text(fields.get(key), fmt))
-                     for key in columns[2:])
-            tail = tails[rest] = "".join(texts) + end
-        yield row_head + str(cell[1]) + tail
+    verdict, found, agree = key if isinstance(key, tuple) else (key, None, None)
+    fields = {"nilpotent": verdict is not no, columns[3]: getattr(verdict, "value", verdict),
+              "oracle_index": found, "agree": agree}
+    _, column, end, _ = _TEMPLATES[fmt]
+    tail = ""
+    for name in columns[2:]:
+        value = fields[name]
+        text = json.dumps(value) if fmt == "json" or isinstance(value, bool) else value
+        tail += column.format(key=name, text="" if text is None else text)
+    return tail + end
 
 
 def _render_scan_human(par: dict, s: dict) -> str:
-    mode = par["mode"]
-    head = f"scan mode={mode}"
-    if mode == "zp":
-        head += f" p={par['p']}"
-    head += (
-        f" n=[{par['n_range'][0]},{par['n_range'][1]}]"
-        f" m=[{par['m_range'][0]},{par['m_range'][1]}]"
-        f" verify={'yes' if par['verify'] else 'no'}"
-    )
-    lines = [head, f"cells {s['cells']}, nilpotent {s['nilpotent']}"]
+    (n_lo, n_hi), (m_lo, m_hi) = par["n_range"], par["m_range"]
+    p = f" p={par['p']}" if "p" in par else ""
+    lines = [f"scan mode={par['mode']}{p} n=[{n_lo},{n_hi}] m=[{m_lo},{m_hi}]"
+             f" verify={'yes' if par['verify'] else 'no'}",
+             f"cells {s['cells']}, nilpotent {s['nilpotent']}"]
     if par["verify"]:
-        lines.append(
-            f"agreements {s['agreements']}, disagreements {len(s['disagreements'])}"
-        )
-        for d in s["disagreements"]:
-            lines.append(f"DISAGREE at n={d['n']} m={d['m']}")
+        lines.append(f"agreements {s['agreements']}, disagreements {len(s['disagreements'])}")
+        lines += (f"DISAGREE at n={d['n']} m={d['m']}" for d in s["disagreements"])
     return "\n".join(lines) + "\n"
 
 
@@ -261,16 +248,16 @@ def cmd_scan(args) -> int:
         "m_range": [m_lo, args.m_max],
         "verify": args.verify,
     }
-    ms = range(m_lo, args.m_max + 1)
     if args.zm:
-        p = None
-        cells = _zm_cells(args.n_max, ms)
+        p, no = None, nilpotence.ZmClause.NOT_NILPOTENT
     else:
         p = parameters["p"] = args.p
-        cells = _zp_cells(p, args.n_max, ms)
-    # The first cell is decided now, before --out is opened: a composite p
+        no = None
+    ms = range(m_lo, args.m_max + 1)
+    blocks = _blocks(p, args.n_max, ms)
+    # The first block is decided now, before --out is opened: a composite p
     # fails its first split, and an existing file is left untouched.
-    cells = itertools.chain([next(cells)], cells)
+    blocks = itertools.chain([next(blocks)], blocks)
     m_count = args.m_max - m_lo + 1
     total = args.n_max * m_count
     if args.verify:  # the oracle's coefficients: m_count times the sum of n**2
@@ -278,8 +265,6 @@ def cmd_scan(args) -> int:
         nilpotence.check_budget("scan --verify", m_count * n * (n + 1) * (2 * n + 1) // 6,
                                 nilpotence.VERIFY_BUDGET)
     summary = {"cells": total, "nilpotent": 0, "disagreements": []}
-    if args.verify:
-        summary["agreements"] = 0
     # Only the oracle is worth a process pool (a closed-form cell costs less than
     # shipping it to a worker and back), and never more workers than CPUs or cells.
     cpu = os.cpu_count() or 1
@@ -290,37 +275,52 @@ def cmd_scan(args) -> int:
     except OSError as exc:
         print(f"error: cannot open --out: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Each cell is tallied and written as it is decided; nothing holds the grid.
-    with (
-        sink as out,
-        ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool,
-    ):
-        if args.verify and pool is None:
-            cells = map(_oracle_cell, itertools.repeat(p), cells)
-        elif args.verify:
-            chunk = max(1, min(total // (jobs * 4), _MAX_CHUNK))
-            cells = _pooled(pool, p, cells, chunk, 2 * jobs)
-        cells = _tally(cells, summary)
-        if args.format == "human":
-            for _ in cells:  # the summary needs every cell
-                pass
-            out.write(_render_scan_human(parameters, summary))
+    # Each block is tallied and written as it is decided; nothing holds the grid.
+    with sink as out, _process_pool(jobs) if jobs > 1 else nullcontext() as pool:
+        # (n, block, verdicts, keys): a cell's key is its verdict, joined on a
+        # verified scan by the oracle's result.
+        if not args.verify:
+            pieces = ((n, block, vs, vs) for n, block, vs in blocks)
+        elif pool is None:
+            pieces = (piece for block in blocks for piece in _oracle_pieces(p, [block]))
         else:
-            columns = _CSV_COLUMNS[mode]
-            if args.format == "csv":
-                out.write(",".join(columns) + "\n")
-            else:
-                columns = columns[:4] + (("oracle_index", "agree") if args.verify else ())
-                # The bytes of json.dumps(report, indent=2), framed around the cells.
-                out.write(json.dumps({"parameters": parameters}, indent=2)[:-2]
-                          + ',\n  "cells": [\n')
-            texts = _cell_texts(cells, args.format, columns)
-            sep = _TEMPLATES[args.format][3]
-            out.write(next(texts))  # a grid has one cell at least
-            while batch := list(itertools.islice(texts, 1024)):
-                out.write(sep + sep.join(batch))
-            if args.format == "json":
-                out.write("\n  ],\n" + json.dumps({"summary": summary}, indent=2)[2:] + "\n")
+            chunk = max(1, min(total // (jobs * 4), _BLOCK))
+            pieces = _pooled(pool, p, _chunks(blocks, chunk), 2 * jobs)
+        columns = _CSV_COLUMNS[mode]
+        if args.format == "csv":
+            out.write(",".join(columns) + "\n")
+        elif args.format == "json":
+            columns = columns[:4] + (("oracle_index", "agree") if args.verify else ())
+            # The bytes of json.dumps(report, indent=2), framed around the cells.
+            out.write(json.dumps({"parameters": parameters}, indent=2)[:-2]
+                      + ',\n  "cells": [\n')
+        head, _, _, sep = _TEMPLATES.get(args.format, _TEMPLATES["csv"])  # human renders no cell
+        # Past m, a cell's text depends only on its key, which takes few distinct
+        # values (over Z_p one index per (a, b)), so each is rendered once.
+        tails = {}
+        m_texts = []  # str(m), kept for the same m as the splits
+        lead = ""
+        for n, block, vs, keys in pieces:
+            summary["nilpotent"] += len(vs) - vs.count(no)
+            if args.verify:
+                summary["disagreements"] += [{"n": n, "m": m}
+                                             for m, key in zip(block, keys) if not key[2]]
+            if args.format == "human":
+                continue
+            for key in set(keys).difference(tails):
+                tails[key] = _tail(key, args.format, columns, no)
+            row = head % n
+            lo = block.start - m_lo
+            texts = _axis(m_texts, ms, lo, lo + len(block), str)
+            out.write(lead + sep.join([f"{row}{text}{tails[key]}"
+                                       for text, key in zip(texts, keys)]))
+            lead = sep
+        if args.verify:
+            summary["agreements"] = total - len(summary["disagreements"])
+        if args.format == "human":
+            out.write(_render_scan_human(parameters, summary))
+        elif args.format == "json":
+            out.write("\n  ],\n" + json.dumps({"summary": summary}, indent=2)[2:] + "\n")
     return EXIT_DISAGREE if summary["disagreements"] else EXIT_OK
 
 

@@ -44,6 +44,7 @@ class ZmClause(enum.Enum):
     SAME_PRIME_POWERS = "same_prime_powers"
     MULTI_PRIME_DIVIDES = "multi_prime_divides"
     NOT_NILPOTENT = "not_nilpotent"
+    __hash__ = object.__hash__  # members are singletons; Enum's hash of the name is a Python call
 
 
 @dataclass(frozen=True)

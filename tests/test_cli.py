@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import signal
@@ -9,8 +11,10 @@ from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nilcirc import circring, cli, nilpotence
+from nilcirc import circring, cli, nilpotence, oracle
 from nilcirc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -194,6 +198,91 @@ def test_scan_zp_golden(capsys, fmt):
     assert out == (GOLDEN / f"scan_zp_12x12.{fmt}").read_text()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_zm_golden(capsys, fmt):
+    code, out, _ = run(capsys, "scan", "--zm", "--n-max", "12", "--m-max", "12",
+                       "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / f"scan_zm_12x12.{fmt}").read_text()
+
+
+def _reference_scan(p, n_max: int, m_max: int, fmt: str, verify: bool) -> str:
+    """A scan's output built cell by cell from the library, as the documented layout."""
+    mode = "zp" if p else "zm"
+    m_lo = 1 if p else 2
+    cells, disagreements = [], []
+    for n in range(1, n_max + 1):
+        for m in range(m_lo, m_max + 1):
+            if p:
+                v = nilpotence.decide_zp(n, m, p)
+                cell = {"n": n, "m": m, "nilpotent": v.nilpotent, "index": v.index}
+            else:
+                v = nilpotence.decide_zm_via_primes(n, m)
+                cell = {"n": n, "m": m, "nilpotent": v.nilpotent, "clause": v.clause.value}
+            if verify:
+                found = oracle.min_nilpotent_index(circring.geom_sum(n, m, p or m), n)
+                agree = found == v.index if p else (found is not None) == v.nilpotent
+                cell.update(oracle_index=found, agree=agree)
+                if not agree:
+                    disagreements.append({"n": n, "m": m})
+            cells.append(cell)
+    if fmt == "csv":
+        columns = cli._CSV_COLUMNS[mode]
+        rows = [",".join(_csv(cell.get(key)) for key in columns) for cell in cells]
+        return "\n".join([",".join(columns), *rows]) + "\n"
+    parameters = {"mode": mode, "n_range": [1, n_max], "m_range": [m_lo, m_max],
+                  "verify": verify}
+    if p:
+        parameters["p"] = p
+    summary = {"cells": len(cells), "nilpotent": sum(c["nilpotent"] for c in cells),
+               "disagreements": disagreements}
+    if verify:
+        summary["agreements"] = len(cells) - len(disagreements)
+    report = {"parameters": parameters, "cells": cells, "summary": summary}
+    return json.dumps(report, indent=2) + "\n"
+
+
+class InlinePool:
+    """A process pool stand-in that runs each submitted chunk at once, in-process."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        return completed(fn(*args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, None]), n_max=st.integers(1, 40), m_max=st.integers(2, 40),
+       fmt=st.sampled_from(["csv", "json"]), verify=st.booleans(), jobs=st.sampled_from([1, 2]),
+       block=st.integers(1, 8), table=st.integers(0, 12))
+def test_scan_blocks_match_cell_by_cell_reference(p, n_max, m_max, fmt, verify, jobs, block,
+                                                 table):
+    # Small blocks and a short axis table, so that rows split into several blocks,
+    # the table ends in mid-row and pooled chunks cut blocks and cross rows.
+    mode = ("--p", str(p)) if p else ("--zm",)
+    argv = ["scan", *mode, "--n-max", str(n_max), "--m-max", str(m_max), "--format", fmt,
+            "--jobs", str(jobs), *(["--verify"] if verify else [])]
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(cli, "_BLOCK", block)
+        patch.setattr(cli, "_AXIS_TABLE_MAX", table)
+        patch.setattr(cli, "_process_pool", InlinePool)
+        patch.setattr(os, "cpu_count", lambda: 2)
+        assert main(argv) == 0
+    # Line by line: pytest's diff of two long texts takes minutes.
+    got = out.getvalue().split("\n")
+    want = _reference_scan(p, n_max, m_max, fmt, verify).split("\n")
+    assert next(((i, a, b) for i, (a, b) in enumerate(zip(got, want), 1) if a != b), None) is None
+    assert len(got) == len(want)
+
+
 def _csv_rows(out):
     header, *rows = out.splitlines()
     return [dict(zip(header.split(","), row.split(","))) for row in rows]
@@ -344,12 +433,22 @@ def test_scan_closed_form_never_starts_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a closed-form scan started a process pool")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_process_pool", no_pool)
     for mode in (("--p", "2"), ("--zm",)):
         code, _, _ = run(
             capsys, "scan", *mode, "--n-max", "8", "--m-max", "8", "--jobs", "2",
         )
         assert code == 0
+
+
+def test_import_leaves_process_pool_unloaded():
+    # Only a pooled scan imports concurrent.futures (and with it multiprocessing).
+    code = ("import sys, nilcirc.cli; nilcirc.cli.build_parser(); print(sorted("
+            "m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=5)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_scan_jobs_capped_at_cpus_and_cells(capsys, monkeypatch):
@@ -369,7 +468,7 @@ def test_scan_jobs_capped_at_cpus_and_cells(capsys, monkeypatch):
         def submit(self, fn, *args):
             return completed(fn(*args))
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_process_pool", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     grid = ("scan", "--p", "2", "--n-max", "4", "--m-max", "4", "--verify")
     assert run(capsys, *grid, "--jobs", "64")[0] == 0
@@ -416,7 +515,7 @@ def test_scan_pool_keeps_a_bounded_window(capsys, monkeypatch):
 
     grid = ("scan", "--p", "2", "--n-max", "20", "--m-max", "20", "--verify", "--format", "csv")
     serial = run(capsys, *grid, "--jobs", "1")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_process_pool", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run(capsys, *grid, "--jobs", "2") == serial  # cells in task order
     assert len(outstanding) == 8  # 400 cells in chunks of 400 // (2 * 4)
