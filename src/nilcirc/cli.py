@@ -310,8 +310,7 @@ def cmd_scan(args) -> int:
             for key in set(keys).difference(tails):
                 tails[key] = _tail(key, args.format, columns, no)
             row = head % n
-            lo = block.start - m_lo
-            texts = _axis(m_texts, ms, lo, lo + len(block), str)
+            texts = _axis(m_texts, ms, block.start - m_lo, block.stop - m_lo, str)
             out.write(lead + sep.join([f"{row}{text}{tails[key]}"
                                        for text, key in zip(texts, keys)]))
             lead = sep
