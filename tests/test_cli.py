@@ -269,13 +269,23 @@ def test_scan_blocks_match_cell_by_cell_reference(p, n_max, m_max, fmt, verify, 
     mode = ("--p", str(p)) if p else ("--zm",)
     argv = ["scan", *mode, "--n-max", str(n_max), "--m-max", str(m_max), "--format", fmt,
             "--jobs", str(jobs), *(["--verify"] if verify else [])]
+    sizes = []
+
+    class SizedPool(InlinePool):
+        def submit(self, fn, p, chunk):
+            sizes.append(sum(len(piece[1]) for piece in chunk))
+            return super().submit(fn, p, chunk)
+
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
         patch.setattr(cli, "_BLOCK", block)
         patch.setattr(cli, "_AXIS_TABLE_MAX", table)
-        patch.setattr(cli, "_process_pool", InlinePool)
+        patch.setattr(cli, "_process_pool", SizedPool)
         patch.setattr(os, "cpu_count", lambda: 2)
         assert main(argv) == 0
+    if sizes:  # every chunk but the last holds total // (4 jobs) cells, at most a block's
+        chunk = max(1, min(n_max * (m_max if p else m_max - 1) // 8, block))
+        assert sizes[:-1] == [chunk] * (len(sizes) - 1) and 0 < sizes[-1] <= chunk
     # Line by line: pytest's diff of two long texts takes minutes.
     got = out.getvalue().split("\n")
     want = _reference_scan(p, n_max, m_max, fmt, verify).split("\n")
