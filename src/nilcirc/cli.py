@@ -28,15 +28,11 @@ EXIT_BAD_INPUT = 3
 
 
 # Cells per block: a scan decides, tallies, renders and writes one row n and
-# at most this many consecutive values of m in one step. A chunk sent to a
-# verify worker holds at most as many: enough to amortize the round trip, few
-# enough that the chunks in flight stay small on any grid.
+# at most this many consecutive values of m in one step, and a pooled verify
+# sends a worker one block per task. The first block's splits and texts of m
+# are kept for the later rows; blocks past it are split again in every row, so
+# a scan's memory stays bounded however long the m axis.
 _BLOCK = 2**10
-
-# Splits of m kept for the rows after the first. A longer m axis is split
-# again in every row past this many values, so a scan's memory stays bounded
-# however long the axis.
-_AXIS_TABLE_MAX = 2**10
 
 # Columns of each scan mode, fixed by the documented CSV headers.
 _CSV_COLUMNS = {
@@ -54,21 +50,7 @@ _TEMPLATES = {
 
 
 # ---------------------------------------------------------------------------
-# scan blocks: each n is split once per row, each m once per scan
-
-
-def _axis(table: list, ms: range, lo: int, hi: int, f) -> list:
-    """f(m) for each m in ms[lo:hi], from the table as far as it reaches.
-
-    The first row fills the table as it walks, up to _AXIS_TABLE_MAX values,
-    so the table never holds more than the cells already walked; later rows
-    compute f again past it.
-    """
-    values = table[lo:hi]
-    values += map(f, ms[lo + len(values):hi])
-    if len(table) == lo:  # the first row, while the table grows
-        table += values[:_AXIS_TABLE_MAX - lo]
-    return values
+# scan blocks: each n is split once per row, the first block of m once per scan
 
 
 def _blocks(p, n_max: int, ms: range):
@@ -76,19 +58,19 @@ def _blocks(p, n_max: int, ms: range):
 
     A block is one row n and at most _BLOCK consecutive values of m. A verdict
     is the index over Z_p (None when T is not nilpotent), or the clause over
-    Z_m (p is None). Each n is split once per row, each m once per scan.
+    Z_m (p is None).
     """
     split = nilpotence.prime_divisors if p is None else functools.partial(p_adic_valuation, p=p)
-    table = []
     for n in range(1, n_max + 1):
         n_split = split(n)  # over Z_p the first split checks that p is prime
+        if n == 1:
+            first = list(map(split, ms[:_BLOCK]))
         for lo in range(0, ms.stop - ms.start, _BLOCK):  # len() overflows past 2**63
             block = ms[lo:lo + _BLOCK]
-            # The splits of m are not held past the verdicts: that bounds the memory.
-            yield n, block, _decide(p, n, n_split, block, _axis(table, ms, lo, lo + _BLOCK, split))
+            yield n, block, _decide(p, n, n_split, block, map(split, block) if lo else first)
 
 
-def _decide(p, n: int, n_split, block: range, splits: list) -> list:
+def _decide(p, n: int, n_split, block: range, splits) -> list:
     """The verdicts of row n's cells in block, from the splits of n and of each m."""
     if p is None:
         return [nilpotence.zm_clause(n, m, n_split, s) for m, s in zip(block, splits)]
@@ -108,41 +90,25 @@ def _oracle_cell(p, n: int, m: int, verdict) -> tuple:
     return verdict, found, found == verdict  # over Z_p the index, None when not nilpotent
 
 
-def _oracle_pieces(p, pieces: list) -> list:
-    """Each (n, block, verdicts) piece with the oracle's result for each of its cells."""
-    return [(n, block, vs, [_oracle_cell(p, n, m, v) for m, v in zip(block, vs)])
-            for n, block, vs in pieces]
+def _oracle_block(p, piece: tuple) -> tuple:
+    """The (n, block, verdicts) piece with the oracle's result for each of its cells."""
+    n, block, vs = piece
+    return n, block, vs, [_oracle_cell(p, n, m, v) for m, v in zip(block, vs)]
 
 
-def _chunks(blocks, size: int):
-    """The blocks cut and grouped into lists of pieces of size cells (the last may hold fewer)."""
-    chunk, room = [], size
-    for n, block, vs in blocks:
-        while block:
-            chunk.append((n, block[:room], vs[:room]))
-            if len(block) < room:
-                room -= len(block)
-                break
-            block, vs = block[room:], vs[room:]
-            yield chunk
-            chunk, room = [], size
-    if chunk:
-        yield chunk
+def _pooled(pool, p, blocks, window: int):
+    """The oracle's blocks in order, one task per block in the pool.
 
-
-def _pooled(pool, p, chunks, window: int):
-    """The oracle's pieces in order, computed a chunk at a time by the pool.
-
-    At most window chunks are in flight, so memory stays bounded by the window
+    At most window blocks are in flight, so memory stays bounded by the window
     whatever the grid size.
     """
     pending = collections.deque()
-    for chunk in chunks:
+    for piece in blocks:
         if len(pending) == window:
-            yield from pending.popleft().result()
-        pending.append(pool.submit(_oracle_pieces, p, chunk))
+            yield pending.popleft().result()
+        pending.append(pool.submit(_oracle_block, p, piece))
     while pending:
-        yield from pending.popleft().result()
+        yield pending.popleft().result()
 
 
 def _process_pool(jobs: int):
@@ -203,36 +169,16 @@ def _write_json_array(out, items) -> None:
 
 def cmd_decide(args) -> int:
     if args.zm:
-        verdict = nilpotence.decide_zm_via_primes(args.n, args.m)
-        if args.json:
-            print(json.dumps(verdict.to_json_dict(), indent=2))
-        elif verdict.nilpotent:
-            print(
-                f"T(n={args.n}, m={args.m}): nilpotent over Z_{args.m}"
-                f" ({verdict.clause.value})"
-            )
-        else:
-            print(f"T(n={args.n}, m={args.m}): not nilpotent over Z_{args.m}")
-        return EXIT_OK
-
-    verdict = nilpotence.decide_zp(args.n, args.m, args.p)
-    if args.json:
-        print(json.dumps(verdict.to_json_dict(), indent=2))
+        v = nilpotence.decide_zm_via_primes(args.n, args.m)
+        verdict = (f"nilpotent over Z_{args.m} ({v.clause.value})" if v.nilpotent
+                   else f"not nilpotent over Z_{args.m}")
+        text = f"T(n={args.n}, m={args.m}): {verdict}"
     else:
-        derived = (
-            f"a={verdict.a}, b={verdict.b},"
-            f" n*={verdict.n_star}, m*={verdict.m_star}"
-        )
-        if verdict.nilpotent:
-            print(
-                f"T(n={args.n}, m={args.m}) over Z_{args.p}: nilpotent,"
-                f" index {verdict.index} ({derived})"
-            )
-        else:
-            print(
-                f"T(n={args.n}, m={args.m}) over Z_{args.p}:"
-                f" not nilpotent ({derived})"
-            )
+        v = nilpotence.decide_zp(args.n, args.m, args.p)
+        verdict = f"nilpotent, index {v.index}" if v.nilpotent else "not nilpotent"
+        text = (f"T(n={args.n}, m={args.m}) over Z_{args.p}: {verdict}"
+                f" (a={v.a}, b={v.b}, n*={v.n_star}, m*={v.m_star})")
+    print(json.dumps(v.to_json_dict(), indent=2) if args.json else text)
     return EXIT_OK
 
 
@@ -282,10 +228,9 @@ def cmd_scan(args) -> int:
         if not args.verify:
             pieces = ((n, block, vs, vs) for n, block, vs in blocks)
         elif pool is None:
-            pieces = (piece for block in blocks for piece in _oracle_pieces(p, [block]))
+            pieces = map(functools.partial(_oracle_block, p), blocks)
         else:
-            chunk = max(1, min(total // (jobs * 4), _BLOCK))
-            pieces = _pooled(pool, p, _chunks(blocks, chunk), 2 * jobs)
+            pieces = _pooled(pool, p, blocks, 2 * jobs)
         columns = _CSV_COLUMNS[mode]
         if args.format == "csv":
             out.write(",".join(columns) + "\n")
@@ -298,7 +243,7 @@ def cmd_scan(args) -> int:
         # Past m, a cell's text depends only on its key, which takes few distinct
         # values (over Z_p one index per (a, b)), so each is rendered once.
         tails = {}
-        m_texts = []  # str(m), kept for the same m as the splits
+        m_texts = list(map(str, ms[:_BLOCK]))  # kept for the same m as the splits
         lead = ""
         for n, block, vs, keys in pieces:
             summary["nilpotent"] += len(vs) - vs.count(no)
@@ -310,7 +255,7 @@ def cmd_scan(args) -> int:
             for key in set(keys).difference(tails):
                 tails[key] = _tail(key, args.format, columns, no)
             row = head % n
-            texts = _axis(m_texts, ms, block.start - m_lo, block.stop - m_lo, str)
+            texts = map(str, block) if block.start > m_lo else m_texts
             out.write(lead + sep.join([f"{row}{text}{tails[key]}"
                                        for text, key in zip(texts, keys)]))
             lead = sep
@@ -376,7 +321,9 @@ def cmd_lemma1(args) -> int:
     return EXIT_OK if all_agree else EXIT_DISAGREE
 
 
-def _identities_point(args) -> int:
+def cmd_identities(args) -> int:
+    if args.random_trials is not None:
+        return _identities_random(args)
     # The witness raises InvalidInput where the identities do not apply.
     v, elem, matches, annihilates = nilpotence.witness_nonvanishing(args.n, args.m, args.p)
     expanded = nilpotence.index_expansion(v.a, v.b, args.p)
@@ -423,12 +370,6 @@ def _identities_random(args) -> int:
     print(f"frobenius    {'pass' if frob_pass == trials else 'FAIL'} ({frob_pass}/{trials})")
     print(f"geometric    {'pass' if geo_pass == trials else 'FAIL'} ({geo_pass}/{trials})")
     return EXIT_OK if frob_pass == geo_pass == trials else EXIT_DISAGREE
-
-
-def cmd_identities(args) -> int:
-    if args.random_trials is not None:
-        return _identities_random(args)
-    return _identities_point(args)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,12 @@ def test_decide_zp_json_golden(capsys):
     assert out == (GOLDEN / "decide_zp.json").read_text()
 
 
+def test_decide_zm_json_golden(capsys):
+    code, out, _ = run(capsys, "decide", "--n", "4", "--m", "6", "--zm", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "decide_zm.json").read_text()
+
+
 def test_decide_zm_human_golden(capsys):
     code, out, _ = run(capsys, "decide", "--n", "4", "--m", "6", "--zm")
     assert code == 0
@@ -55,6 +61,23 @@ def test_decide_human_zp(capsys):
     assert code == 0
     assert "nilpotent, index 8" in out
     assert "a=3, b=1, n*=1, m*=1" in out
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("--n", "8", "--m", "2", "--p", "2"),
+     "T(n=8, m=2) over Z_2: nilpotent, index 8 (a=3, b=1, n*=1, m*=1)\n"),
+    (("--n", "12", "--m", "5", "--p", "3"),
+     "T(n=12, m=5) over Z_3: not nilpotent (a=1, b=0, n*=4, m*=5)\n"),
+    (("--n", "4", "--m", "4", "--zm"), "T(n=4, m=4): nilpotent over Z_4 (same_prime_powers)\n"),
+    (("--n", "6", "--m", "6", "--zm"), "T(n=6, m=6): nilpotent over Z_6 (multi_prime_divides)\n"),
+    (("--n", "4", "--m", "6", "--zm"), "T(n=4, m=6): not nilpotent over Z_6\n"),
+    (("--n", "3", "--m", "2", "--p", "2", "--json"),
+     '{\n  "n": 3,\n  "m": 2,\n  "p": 2,\n  "a": 0,\n  "b": 1,\n  "n_star": 3,\n  "m_star": 1,\n'
+     '  "nilpotent": false,\n  "index": null\n}\n'),
+])
+def test_decide_output_exact(capsys, argv, text):
+    # Whole texts, in each mode and verdict: the other decide tests check parts.
+    assert run(capsys, "decide", *argv) == (0, text, "")
 
 
 def test_decide_zm_nilpotent_human(capsys):
@@ -243,7 +266,7 @@ def _reference_scan(p, n_max: int, m_max: int, fmt: str, verify: bool) -> str:
 
 
 class InlinePool:
-    """A process pool stand-in that runs each submitted chunk at once, in-process."""
+    """A process pool stand-in that runs each submitted task at once, in-process."""
 
     def __init__(self, workers):
         pass
@@ -261,31 +284,31 @@ class InlinePool:
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, None]), n_max=st.integers(1, 40), m_max=st.integers(2, 40),
        fmt=st.sampled_from(["csv", "json"]), verify=st.booleans(), jobs=st.sampled_from([1, 2]),
-       block=st.integers(1, 8), table=st.integers(0, 12))
-def test_scan_blocks_match_cell_by_cell_reference(p, n_max, m_max, fmt, verify, jobs, block,
-                                                 table):
-    # Small blocks and a short axis table, so that rows split into several blocks,
-    # the table ends in mid-row and pooled chunks cut blocks and cross rows.
+       block=st.integers(1, 8))
+def test_scan_blocks_match_cell_by_cell_reference(p, n_max, m_max, fmt, verify, jobs, block):
+    # Small blocks, so that rows split into several blocks past the first one,
+    # whose splits and texts are kept for the later rows.
     mode = ("--p", str(p)) if p else ("--zm",)
     argv = ["scan", *mode, "--n-max", str(n_max), "--m-max", str(m_max), "--format", fmt,
             "--jobs", str(jobs), *(["--verify"] if verify else [])]
-    sizes = []
+    tasks = []
 
-    class SizedPool(InlinePool):
-        def submit(self, fn, p, chunk):
-            sizes.append(sum(len(piece[1]) for piece in chunk))
-            return super().submit(fn, p, chunk)
+    class RecordingPool(InlinePool):
+        def submit(self, fn, p, piece):
+            tasks.append(piece[:2])
+            return super().submit(fn, p, piece)
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
         patch.setattr(cli, "_BLOCK", block)
-        patch.setattr(cli, "_AXIS_TABLE_MAX", table)
-        patch.setattr(cli, "_process_pool", SizedPool)
+        patch.setattr(cli, "_process_pool", RecordingPool)
         patch.setattr(os, "cpu_count", lambda: 2)
         assert main(argv) == 0
-    if sizes:  # every chunk but the last holds total // (4 jobs) cells, at most a block's
-        chunk = max(1, min(n_max * (m_max if p else m_max - 1) // 8, block))
-        assert sizes[:-1] == [chunk] * (len(sizes) - 1) and 0 < sizes[-1] <= chunk
+    # A pooled verify sends one task per block, in row order.
+    ms = range(1 if p else 2, m_max + 1)
+    pooled = verify and jobs == 2 and n_max * len(ms) > 1
+    assert tasks == ([(n, ms[lo:lo + block]) for n in range(1, n_max + 1)
+                      for lo in range(0, len(ms), block)] if pooled else [])
     # Line by line: pytest's diff of two long texts takes minutes.
     got = out.getvalue().split("\n")
     want = _reference_scan(p, n_max, m_max, fmt, verify).split("\n")
@@ -426,17 +449,24 @@ def test_scan_json_round_trips(capsys):
 
 
 def test_scan_parallel_matches_serial(capsys):
-    # only --verify scans use the process pool
-    code1, out1, _ = run(
-        capsys, "scan", "--p", "2", "--n-max", "8", "--m-max", "8",
-        "--verify", "--format", "csv", "--jobs", "1",
-    )
-    code2, out2, _ = run(
-        capsys, "scan", "--p", "2", "--n-max", "8", "--m-max", "8",
-        "--verify", "--format", "csv", "--jobs", "2",
-    )
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # only --verify scans use the process pool; over Z_m the workers return
+    # clauses unpickled in the parent, whose cached texts are keyed by them
+    for mode in (("--p", "2"), ("--zm",)):
+        grid = ("scan", *mode, "--n-max", "8", "--m-max", "8", "--verify", "--format", "csv")
+        code1, out1, _ = run(capsys, *grid, "--jobs", "1")
+        code2, out2, _ = run(capsys, *grid, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+
+def test_scan_parallel_blocks_cut_rows(capsys, monkeypatch):
+    # Three blocks per row, each its own task in a real pool. The workers run
+    # only _oracle_block, which does not read _BLOCK.
+    monkeypatch.setattr(cli, "_BLOCK", 3)
+    grid = ("scan", "--zm", "--n-max", "6", "--m-max", "10", "--verify", "--format", "csv")
+    serial = run(capsys, *grid, "--jobs", "1")
+    assert serial[0] == 0
+    assert run(capsys, *grid, "--jobs", "2") == serial
 
 
 def test_scan_closed_form_never_starts_pool(capsys, monkeypatch):
@@ -496,7 +526,7 @@ def completed(value) -> Future:
 
 
 def test_scan_pool_keeps_a_bounded_window(capsys, monkeypatch):
-    # In-process stand-in: submit runs the chunk at once, and a future counts as
+    # In-process stand-in: submit runs the task at once, and a future counts as
     # outstanding until the scan takes its result.
     in_flight = [0]
     outstanding = []
@@ -528,7 +558,7 @@ def test_scan_pool_keeps_a_bounded_window(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_process_pool", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run(capsys, *grid, "--jobs", "2") == serial  # cells in task order
-    assert len(outstanding) == 8  # 400 cells in chunks of 400 // (2 * 4)
+    assert len(outstanding) == 20  # one task per block: here one per row
     assert max(outstanding) == 4  # never more than 2 x jobs in flight
 
 
