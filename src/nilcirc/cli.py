@@ -30,8 +30,8 @@ EXIT_BAD_INPUT = 3
 # Cells per block: a scan decides, tallies, renders and writes one row n and
 # at most this many consecutive values of m in one step, and a pooled verify
 # sends a worker one block per task. The first block's splits and texts of m
-# are kept for the later rows; blocks past it are split again in every row, so
-# a scan's memory stays bounded however long the m axis.
+# are kept for the later rows; past it, a block's candidate cells are split
+# again in every row, so a scan's memory stays bounded however long the m axis.
 _BLOCK = 2**10
 
 # Columns of each scan mode, fixed by the documented CSV headers.
@@ -56,9 +56,9 @@ _TEMPLATES = {
 def _blocks(p, n_max: int, ms: range):
     """(n, block, verdicts) for each block of the grid, row by row.
 
-    A block is one row n and at most _BLOCK consecutive values of m. A verdict
-    is the index over Z_p (None when T is not nilpotent), or the clause over
-    Z_m (p is None).
+    A block is one row n and at most _BLOCK consecutive values of m. Its
+    verdicts map the offset of each nilpotent cell to the index over Z_p, or to
+    the clause over Z_m (p is None).
     """
     split = nilpotence.prime_divisors if p is None else functools.partial(p_adic_valuation, p=p)
     for n in range(1, n_max + 1):
@@ -67,15 +67,34 @@ def _blocks(p, n_max: int, ms: range):
             first = list(map(split, ms[:_BLOCK]))
         for lo in range(0, ms.stop - ms.start, _BLOCK):  # len() overflows past 2**63
             block = ms[lo:lo + _BLOCK]
-            yield n, block, _decide(p, n, n_split, block, map(split, block) if lo else first)
+            m_split = (lambda i, block=block: split(block[i])) if lo else first.__getitem__
+            yield n, block, _decide(p, n, n_split, block, m_split)
 
 
-def _decide(p, n: int, n_split, block: range, splits) -> list:
-    """The verdicts of row n's cells in block, from the splits of n and of each m."""
-    if p is None:
-        return [nilpotence.zm_clause(n, m, n_split, s) for m, s in zip(block, splits)]
-    a, n_star = n_split
-    return [nilpotence.zp_index(a, n_star, b, m_star, p) for b, m_star in splits]
+def _decide(p, n: int, n_split, block: range, m_split) -> dict:
+    """{offset: verdict} for row n's nilpotent cells in block; m_split(i) splits block[i].
+
+    zp_index and zm_clause decide the candidate cells; no other cell can be nilpotent:
+    - Over Z_p, with n = p**a * n_star and m = p**b * m_star, zp_index is None
+      unless b >= 1 and n_star | m_star, so unless p * n_star | m, because
+      gcd(p, n_star) = 1. The candidates are the multiples of p * n_star.
+    - Over Z_m, zm_clause is NOT_NILPOTENT unless n | m, or m is a power of a
+      prime q and n is 1 or a power of q. The candidates are the multiples of
+      n and, if n is a power of q, the powers of q below n (the rest divide by n).
+    """
+    if p is not None:
+        a, n_star = n_split
+        step = p * n_star
+        return {i: v for i in range(-block.start % step, len(block), step)
+                if (v := nilpotence.zp_index(a, n_star, *m_split(i), p)) is not None}
+    offsets = range(-block.start % n, len(block), n)
+    if len(n_split) == 1 and block.start < n:
+        powers = map(n_split[0].__pow__, range(1, n.bit_length()))
+        offsets = itertools.chain(offsets, (x - block.start for x in powers
+                                            if x < n and x in block))
+    no = nilpotence.ZmClause.NOT_NILPOTENT
+    return {i: v for i in offsets
+            if (v := nilpotence.zm_clause(n, block[i], n_split, m_split(i))) is not no}
 
 
 # The oracle workers are top level so a process pool can pickle them.
@@ -91,9 +110,11 @@ def _oracle_cell(p, n: int, m: int, verdict) -> tuple:
 
 
 def _oracle_block(p, piece: tuple) -> tuple:
-    """The (n, block, verdicts) piece with the oracle's result for each of its cells."""
+    """The (n, block, verdicts) piece and, by offset, each oracle result but the default."""
     n, block, vs = piece
-    return n, block, vs, [_oracle_cell(p, n, m, v) for m, v in zip(block, vs)]
+    default = (nilpotence.ZmClause.NOT_NILPOTENT if p is None else None, None, True)
+    return n, block, vs, {i: key for i, m in enumerate(block)
+                          if (key := _oracle_cell(p, n, m, vs.get(i, default[0]))) != default}
 
 
 def _pooled(pool, p, blocks, window: int):
@@ -223,8 +244,8 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     # Each block is tallied and written as it is decided; nothing holds the grid.
     with sink as out, _process_pool(jobs) if jobs > 1 else nullcontext() as pool:
-        # (n, block, verdicts, keys): a cell's key is its verdict, joined on a
-        # verified scan by the oracle's result.
+        # (n, block, verdicts, keys): keys holds by offset each key but the default,
+        # a cell's key being its verdict, joined on a verified scan by the oracle's.
         if not args.verify:
             pieces = ((n, block, vs, vs) for n, block, vs in blocks)
         elif pool is None:
@@ -239,25 +260,28 @@ def cmd_scan(args) -> int:
             # The bytes of json.dumps(report, indent=2), framed around the cells.
             out.write(json.dumps({"parameters": parameters}, indent=2)[:-2]
                       + ',\n  "cells": [\n')
-        head, _, _, sep = _TEMPLATES.get(args.format, _TEMPLATES["csv"])  # human renders no cell
-        # Past m, a cell's text depends only on its key, which takes few distinct
-        # values (over Z_p one index per (a, b)), so each is rendered once.
+        head, _, _, sep = _TEMPLATES.get(args.format, _TEMPLATES["csv"])
+        # A block's cell texts start as m's with the default key's (the first
+        # block's are kept) and take the other keys' texts, each rendered once.
         tails = {}
-        m_texts = list(map(str, ms[:_BLOCK]))  # kept for the same m as the splits
+        if args.format != "human":  # which renders no cell
+            cell = "%d" + _tail((no, None, True) if args.verify else no, args.format, columns, no)
+            first = list(map(cell.__mod__, ms[:_BLOCK]))
         lead = ""
         for n, block, vs, keys in pieces:
-            summary["nilpotent"] += len(vs) - vs.count(no)
+            summary["nilpotent"] += len(vs)
             if args.verify:
-                summary["disagreements"] += [{"n": n, "m": m}
-                                             for m, key in zip(block, keys) if not key[2]]
+                summary["disagreements"] += [{"n": n, "m": block[i]}
+                                             for i, key in keys.items() if not key[2]]
             if args.format == "human":
                 continue
-            for key in set(keys).difference(tails):
+            for key in set(keys.values()).difference(tails):
                 tails[key] = _tail(key, args.format, columns, no)
+            cells = list(map(cell.__mod__, block)) if block.start > m_lo else first.copy()
+            for i, key in keys.items():
+                cells[i] = f"{block[i]}{tails[key]}"
             row = head % n
-            texts = map(str, block) if block.start > m_lo else m_texts
-            out.write(lead + sep.join([f"{row}{text}{tails[key]}"
-                                       for text, key in zip(texts, keys)]))
+            out.write(lead + row + (sep + row).join(cells))
             lead = sep
         if args.verify:
             summary["agreements"] = total - len(summary["disagreements"])

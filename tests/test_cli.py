@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcirc import circring, cli, nilpotence, oracle
+from nilcirc import circring, cli, nilpotence, numutil, oracle
 from nilcirc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -314,6 +315,66 @@ def test_scan_blocks_match_cell_by_cell_reference(p, n_max, m_max, fmt, verify, 
     want = _reference_scan(p, n_max, m_max, fmt, verify).split("\n")
     assert next(((i, a, b) for i, (a, b) in enumerate(zip(got, want), 1) if a != b), None) is None
     assert len(got) == len(want)
+
+
+def _split(p):
+    return nilpotence.prime_divisors if p is None else functools.partial(
+        numutil.p_adic_valuation, p=p)
+
+
+@st.composite
+def _row_blocks(draw):
+    """(n, block): any row n <= 10**4 and up to 64 values of m below 2**32 + 64,
+    often placed at a multiple of n or among the small powers of a prime."""
+    n = draw(st.integers(1, 10**4) | st.sampled_from([4, 8, 9, 25, 27, 32, 49, 64, 81, 1024]))
+    start = draw(st.integers(2, 2**32) | st.integers(2, 300)
+                 | st.integers(1, 2**32 // n).map(lambda j: max(2, j * n - 40)))
+    return n, range(start, start + draw(st.integers(1, 64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 2**61 - 1, None]), row_block=_row_blocks())
+def test_decide_keeps_every_nilpotent_cell(p, row_block):
+    # The candidate filter against every cell decided by the verdict step itself.
+    n, block = row_block
+    split = _split(p)
+    if p is None:
+        dense = {i: v for i, m in enumerate(block)
+                 if (v := nilpotence.zm_clause(n, m, split(n), split(m)))
+                 is not nilpotence.ZmClause.NOT_NILPOTENT}
+    else:
+        dense = {i: v for i, m in enumerate(block)
+                 if (v := nilpotence.zp_index(*split(n), *split(m), p)) is not None}
+    assert cli._decide(p, n, split(n), block, lambda i: split(block[i])) == dense
+
+
+def test_decide_zm_keeps_powers_of_the_prime_that_n_does_not_divide():
+    # Row n = 8: m = 2 and m = 4 are same_prime_powers although 8 does not divide them.
+    block = range(2, 18)
+    split = _split(None)
+    same = nilpotence.ZmClause.SAME_PRIME_POWERS
+    assert cli._decide(None, 8, (2,), block, lambda i: split(block[i])) == {
+        0: same, 2: same, 6: same, 14: same}
+
+
+@pytest.mark.parametrize("mode, bound", [
+    (("--p", "2"), sum(-(-64 // (2 * numutil.p_adic_valuation(n, 2)[1])) for n in range(1, 65))),
+    (("--zm",), sum(64 // n + 7 for n in range(1, 65))),
+])
+def test_scan_decides_only_candidate_cells(capsys, monkeypatch, mode, bound):
+    # A scan that fell back to deciding every cell (4096 here) fails this bound.
+    calls = [0]
+
+    def counted(decide):
+        def wrapper(*args):
+            calls[0] += 1
+            return decide(*args)
+        return wrapper
+
+    monkeypatch.setattr(nilpotence, "zp_index", counted(nilpotence.zp_index))
+    monkeypatch.setattr(nilpotence, "zm_clause", counted(nilpotence.zm_clause))
+    assert run(capsys, "scan", *mode, "--n-max", "64", "--m-max", "64", "--format", "csv")[0] == 0
+    assert 0 < calls[0] <= bound
 
 
 def _csv_rows(out):
