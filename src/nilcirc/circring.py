@@ -67,8 +67,7 @@ def geom_sum(n: int, m: int, q: int) -> CirculantElem:
     _check_int("n", n, 1)
     _check_int("m", m, 1)
     base, extra = divmod(m, n)
-    coeffs = tuple((base + (1 if j < extra else 0)) % q for j in range(n))
-    return CirculantElem(n, q, coeffs)
+    return CirculantElem(n, q, ((base + 1) % q,) * extra + (base % q,) * (n - extra))
 
 
 def multiples_indicator(n: int, q: int, step: int) -> CirculantElem:
@@ -127,30 +126,38 @@ def _unpack(value: int, n: int, w: int):
     return slots
 
 
-# Cached: mul calls it per product, and the masks cost more than a small product.
-@functools.lru_cache(maxsize=64)
-def _layout(n: int, q: int) -> tuple:
-    """Bytes per slot w, and the constants (w, s, r, even, low) of _reduce.
+def _layout(n: int, q: int, batch_bytes: int = 0) -> tuple:
+    """Bytes per slot w, and the constants (w, s, r, lanes, half, even, low) of _reduce.
 
     A folded slot v is at most top = n*(q-1)**2 < 2**s / q, so r = ceil(2**s / q)
     gives floor(v*r / 2**s) = floor(v / q) (Granlund and Montgomery, "Division by
     invariant integers using multiplication", PLDI 1994). Two slots hold top*r.
+    lanes is the most lanes of 2n slots, a power of two, that fit in batch_bytes,
+    or 1; the scalars are cheap, the masks are cached.
     """
     top = n * (q - 1) ** 2
     s = top.bit_length() + q.bit_length()
     r = -(-(1 << s) // q)
     w = ((top * r).bit_length() + 15) // 16
-    groups = (n + 1) // 2  # of two slots: even masks the lower one, low a quotient
-    even = int.from_bytes(((1 << 8 * w) - 1).to_bytes(2 * w, "little") * groups, "little")
-    low = int.from_bytes(((1 << (16 * w - s)) - 1).to_bytes(2 * w, "little") * groups, "little")
-    return w, s, r, even, low
+    lanes = 1 << max(0, (batch_bytes // (2 * n * w)).bit_length() - 1)
+    return (w, s, r, lanes) + _masks(n, w, s, lanes)
+
+
+# Cached: they cost more than a small product; moduli of equal w and s share them.
+@functools.lru_cache(maxsize=64)
+def _masks(n: int, w: int, s: int, lanes: int) -> tuple:
+    """Over the lower n slots of each lane: half masks all; of two slots, even the lower, low a quotient."""
+    pairs = (n + 1) // 2
+    return tuple(int.from_bytes(lane.ljust(2 * n * w, b"\0") * lanes, "little") for lane in (
+        b"\xff" * (n * w),
+        ((1 << 8 * w) - 1).to_bytes(2 * w, "little") * pairs,
+        ((1 << (16 * w - s)) - 1).to_bytes(2 * w, "little") * pairs))
 
 
 def _reduce(prod: int, n: int, q: int, layout: tuple) -> int:
-    """prod folded modulo x**n - 1 and reduced mod q: even slots, then odd, none carries."""
-    w, s, r, even, low = layout
-    shift = 8 * n * w
-    v = (prod >> shift) + (prod & ((1 << shift) - 1))
+    """Each lane of prod folded modulo x**n - 1 and reduced mod q: even slots, then odd, none carries."""
+    w, s, r, _, half, even, low = layout
+    v = (prod & half) + ((prod >> 8 * n * w) & half)
     lo, hi = v & even, (v >> 8 * w) & even
     lo -= q * (((lo * r) >> s) & low)
     hi -= q * (((hi * r) >> s) & low)
@@ -172,19 +179,45 @@ def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
     return CirculantElem(n, q, tuple(_unpack(_reduce(prod, n, q, layout), n, layout[0])))
 
 
-def powers(a: CirculantElem):
-    """The packed powers a, a**2, a**3, ..., without end, each 0 exactly when zero.
+# Most bytes a batch of _first_zero_power doubles up to. A larger cap batches
+# lanes past about 128 bytes, which cost more than one product per power
+# (measured on CPython 3.11: caps of 1024 and 4096 slowed a Z_2 128x128 verify).
+_LANE_BYTES = 256
 
-    Coefficient j is canonical in slot j, of _layout's w bytes. a is packed once;
-    each next power is one multiply by it and one _reduce, and is not checked
-    again as an element: a already was, and every slot is reduced mod q.
+
+def _first_zero_power(a: CirculantElem, bound: int) -> int | None:
+    """Smallest k in [1, bound] with a**k = 0, or None; no power past bound is computed.
+
+    A batch packs a**(d-L+1), ..., a**d, lane i in 2n slots of w bytes from slot
+    2n*i, room for an unfolded product: one product by a**L and one _reduce give
+    the next L powers. L doubles (the new lanes join the batch; a**2L is its top
+    lane) while the batch fits in _LANE_BYTES, then stays; the last batch is cut
+    to bound - d lanes. A reduced lane is 0 exactly when its power is zero, and
+    a**j = 0 gives a**(j+1) = a**j * a = 0, so the zero lanes are a suffix: the
+    first zero power follows the ceil(bit_length / lane bits) nonzero lanes.
     """
     n, q = a.order, a.modulus
-    layout = _layout(n, q)
-    packed = acc = _pack(a.coeffs, layout[0])
-    while True:
-        yield acc
-        acc = _reduce(acc * packed, n, q, layout)
+    layout = _layout(n, q, _LANE_BYTES)
+    bits, most = 16 * n * layout[0], layout[3]  # bits of a lane, most lanes
+    batch = step = _pack(a.coeffs, layout[0])
+    if not batch:
+        return 1
+    d = lanes = 1
+    while d < bound:
+        if bound - d < lanes:
+            lanes = bound - d
+            batch &= (1 << lanes * bits) - 1
+        new = _reduce(batch * step, n, q, layout)
+        if new.bit_length() <= (lanes - 1) * bits:
+            return d + 1 - (-new.bit_length() // bits)
+        d += lanes
+        if lanes < most:
+            batch |= new << lanes * bits
+            step = new >> (lanes - 1) * bits
+            lanes *= 2
+        else:
+            batch = new
+    return None
 
 
 def power(a: CirculantElem, k: int) -> CirculantElem:

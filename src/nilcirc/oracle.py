@@ -1,8 +1,9 @@
 """Brute-force ground truth: the index search and the structural identities.
 
-The index search multiplies one factor at a time on purpose: every
-intermediate power is inspected, and no code is shared with the closed-form
-side beyond the ring primitives themselves.
+The index search computes every power T, T**2, ... up to the first zero one or
+the bound, and inspects each: circring._first_zero_power walks them in packed
+batches, many powers per product, and computes none past the bound. No code is
+shared with the closed-form side beyond the ring primitives themselves.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ from .numutil import _check_int, is_prime
 def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
     """Smallest k in [1, bound] with a**k = 0, by iterated multiplication."""
     _check_int("bound", bound, 1)
-    # range comes first, so the walk stops without computing a**(bound + 1).
-    for k, acc in zip(range(1, bound + 1), circring.powers(a)):
-        if not acc:
-            return k
-    return None
+    return circring._first_zero_power(a, bound)
 
 
 def frobenius_check(a: CirculantElem, b: CirculantElem, k: int) -> bool:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcirc import circring
 from nilcirc.circring import (
     CirculantElem,
+    _first_zero_power,
     _layout,
     _reduce,
     add,
@@ -16,7 +18,6 @@ from nilcirc.circring import (
     mul,
     multiples_indicator,
     power,
-    powers,
     scalar_mul,
     shift_power,
 )
@@ -314,6 +315,36 @@ def unpacked(acc, a):
     return [(acc >> (bits * j)) & ((1 << bits) - 1) for j in range(n)]
 
 
+def walk(a, bound):
+    """_first_zero_power(a, bound), the lanes of each of its products, and the
+    powers a**2, a**3, ... that those lanes hold, in the order computed.
+
+    A batch holds no zero lane (the walk stops at one), so a product's top lane
+    is nonzero and its bit length gives its lanes.
+    """
+    bits = 16 * a.order * _layout(a.order, a.modulus)[0]
+    lanes, computed = [], []
+
+    def recorded(prod, *args):
+        out = _reduce(prod, *args)
+        lanes.append(-(-prod.bit_length() // bits))
+        computed.extend(unpacked(out >> (bits * i), a) for i in range(lanes[-1]))
+        return out
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(circring, "_reduce", recorded)
+        found = _first_zero_power(a, bound)
+    return found, lanes, computed
+
+
+def never_zero(rng, n, q):
+    """An element whose coefficients sum to 1 mod q: evaluation at x = 1 is a
+    ring map, so a**k sums to 1 too and no power is zero."""
+    coeffs = [rng.randrange(q) for _ in range(n)]
+    coeffs[0] = (1 - sum(coeffs[1:])) % q
+    return CirculantElem(n, q, tuple(coeffs))
+
+
 # Moduli and orders whose slot widths, from _layout, reach every path of the
 # packing: the array widths 1, 2, 4 and 8 bytes and the int.to_bytes widths
 # between and above them.
@@ -327,13 +358,33 @@ def test_powers_moduli_reach_every_slot_width():
 
 
 @pytest.mark.parametrize("q", POWERS_MODULI)
-def test_powers_yields_every_power(q):
+def test_powers_yields_every_power(monkeypatch, q):
+    # At every slot width: the default lane cap, and a cap of four lanes, whose
+    # 13 powers take one lane, then two, then four twice, then a last batch cut
+    # to one lane.
     rng = random.Random(q)
     for n in POWERS_ORDERS:
-        a = CirculantElem(n, q, tuple(rng.randrange(q) for _ in range(n)))
-        walk = powers(a)
-        for k in range(1, 13):
-            assert unpacked(next(walk), a) == list(power(a, k).coeffs)
+        a = never_zero(rng, n, q)
+        expected = [power(a, k).coeffs for k in range(2, 14)]
+        for cap in (circring._LANE_BYTES, 4 * 2 * n * _layout(n, q)[0]):
+            monkeypatch.setattr(circring, "_LANE_BYTES", cap)
+            found, lanes, computed = walk(a, 13)
+            assert found is None and [tuple(c) for c in computed] == expected
+        assert lanes == [1, 2, 4, 4, 1]
+
+
+@pytest.mark.parametrize("n, q, phases", [
+    (5, 2, [1, 2, 4, 8, 16, 16, 7]),  # 10-byte lanes: doubling up to 16, one full batch, a cut one
+    (16, 3, [1, 2, 4, 8, 8, 8, 8, 8, 8, 8, 3]),  # 32-byte lanes: 8 at most
+    (64, 2, [1, 2] + [2] * 30 + [1]),  # 128-byte lanes: 2 at most
+    (64, 3, [1] * 64),  # 256-byte lanes: one at a time, as one multiply per power
+])
+def test_lane_phases_at_the_default_cap(n, q, phases):
+    assert circring._LANE_BYTES == 256  # the phases are worked out for this cap
+    a = never_zero(random.Random(n), n, q)
+    found, lanes, computed = walk(a, sum(phases) + 1)
+    assert found is None and lanes == phases
+    assert [tuple(c) for c in computed] == [power(a, k).coeffs for k in range(2, len(computed) + 2)]
 
 
 @st.composite
@@ -345,12 +396,15 @@ def walk_start(draw):
     return CirculantElem(n, q, tuple(draw(coeffs)))
 
 
-@given(walk_start())
+@given(walk_start(), st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
-def test_powers_match_power(a):
-    walk = powers(a)
-    for k in range(1, 9):
-        assert unpacked(next(walk), a) == list(power(a, k).coeffs)
+def test_powers_match_power(a, bound):
+    found, _, computed = walk(a, bound)
+    powers = [list(power(a, k).coeffs) for k in range(2, len(computed) + 2)]
+    assert computed == powers
+    zeros = [k for k, c in enumerate([a.coeffs] + powers, 1) if not any(c) and k <= bound]
+    assert found == (zeros[0] if zeros else None)
+    assert len(computed) <= bound - 1
 
 
 # The reduction's edge: every coefficient q - 1 makes each folded slot of the
@@ -361,10 +415,12 @@ def test_reduce_at_the_slot_bound_matches_dense(q, n):
     top = CirculantElem(n, q, (q - 1,) * n)
     dense = to_dense(top)
     assert to_dense(mul(top, top)) == _dense_matmul(dense, dense, q)
-    row = [dense[0]]
-    for acc in itertools.islice(powers(top), 6):
-        assert unpacked(acc, top) == row[0]
+    found, _, computed = walk(top, 7)
+    row = _dense_matmul([dense[0]], dense, q)
+    for acc in computed:
+        assert acc == row[0]
         row = _dense_matmul(row, dense, q)
+    assert len(computed) == (6 if found is None else found - 1)
 
 
 @pytest.mark.parametrize("q", list(range(2, 40)) + [2**32 - 5, 2**64 - 59, 2**64 - 1])
@@ -381,3 +437,21 @@ def test_reduce_is_exact_on_the_top_slot_values(q):
             packed = sum(v << (bits * j) for j, v in enumerate(slots))
             expected = sum(v % q << (bits * j) for j, v in enumerate(slots))
             assert _reduce(packed, n, q, layout) == expected
+
+
+@pytest.mark.parametrize("q", (2, 3, 251, 2**32 - 5, 2**64 - 1))
+def test_reduce_folds_and_reduces_every_lane(q):
+    # Lanes of 2n slots; lane i holds unfolded slot values whose folds reach the
+    # bound n*(q-1)**2, shifted by i so that no two lanes are alike.
+    for n in (1, 2, 3, 8, 11):
+        layout = _layout(n, q, 1 << 12)
+        lanes, bits, top = layout[3], 8 * layout[0], n * (q - 1) ** 2
+        assert lanes >= 2
+        packed = expected = 0
+        for i in range(lanes):
+            folded = [top - (i + j) % (top + 1) for j in range(n)]
+            high = [min(v, top // 2) for v in folded[: n - 1]] + [0]
+            slots = [v - h for v, h in zip(folded, high)] + high
+            packed += sum(v << (bits * (2 * n * i + j)) for j, v in enumerate(slots))
+            expected += sum(v % q << (bits * (2 * n * i + j)) for j, v in enumerate(folded))
+        assert _reduce(packed, n, q, layout) == expected

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -180,6 +181,26 @@ def test_scan_zp_verify_csv_golden(capsys):
     )
     assert code == 0
     assert out == (GOLDEN / "scan_zp_12x12_verify.csv").read_text()
+
+
+VERIFY_48 = {
+    "verify_p2_48x48.csv": ("--p", "2"),
+    "verify_p3_48x48.csv": ("--p", "3"),
+    "verify_zm_48x48.csv": ("--zm",),
+}
+
+
+def test_scan_verify_48x48_digests(capsys):
+    # At the bound n <= 48 the oracle's products take one to eight lanes over
+    # each ring: every lane count that a walk of such a row reaches.
+    digests = dict(reversed(line.split("  ")) for line in
+                   (GOLDEN / "verify_48x48.sha256").read_text().splitlines())
+    assert set(digests) == set(VERIFY_48)
+    for name, ring in VERIFY_48.items():
+        code, out, _ = run(capsys, "scan", *ring, "--n-max", "48", "--m-max", "48",
+                           "--verify", "--format", "csv", "--jobs", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[name], name
 
 
 @pytest.mark.parametrize("grid", [

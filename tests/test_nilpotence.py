@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from nilcirc import circring
+from nilcirc import circring, oracle
 from nilcirc.errors import InvalidInput, InvalidPrime
 from nilcirc.nilpotence import (
     ZmClause,
@@ -239,3 +239,29 @@ def test_degenerate_below_one_division_step():
                     assert v.index == 1
                     assert circring.is_zero(circring.geom_sum(n, m, p))
 
+
+
+def test_zm_oracle_index_lies_in_the_per_prime_bracket():
+    """On criterion 2's grid, each nilpotent Z_m oracle index lies in
+    [max k_p, max e*k_p], k_p Theorem 1's index over Z_p for m = prod p**e.
+
+    By the CRT the index over Z_m is the largest over the Z_(p**e). Reducing
+    mod p is a ring map, so each is at least k_p. T**k_p = 0 mod p means
+    T**k_p = p*U, so T**(e*k_p) = p**e * U**e = 0 over Z_(p**e). For
+    squarefree m the bracket is one point.
+    """
+    above = nilpotent = 0
+    for m in range(2, 37):
+        factors = factorize(m)
+        for n in range(1, 37):
+            found = oracle.min_nilpotent_index(circring.geom_sum(n, m, m), n)
+            if found is None:
+                continue
+            k = {p: decide_zp(n, m, p).index for p, _ in factors}
+            low, high = max(k.values()), max(e * k[p] for p, e in factors)
+            assert low <= found <= high, (n, m, found, low, high)
+            if all(e == 1 for _, e in factors):
+                assert found == low, (n, m, found, low)
+            nilpotent += 1
+            above += found > low
+    assert nilpotent > 100 and above > 0

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcirc import circring
 from nilcirc.errors import InvalidInput, InvalidPrime
@@ -37,24 +40,17 @@ def test_oracle_self_consistency():
     assert seen_nilpotent > 0
 
 
-def _walked(monkeypatch):
-    """Count, per search, the powers the oracle consumes and the products it computes."""
-    consumed, products = [], [0]
-    real_powers, real_reduce = circring.powers, circring._reduce
+def _walked(monkeypatch, elem):
+    """Record, per product of the oracle's walk, the lanes (powers) it computes."""
+    bits = 16 * elem.order * circring._layout(elem.order, elem.modulus)[0]
+    lanes, real_reduce = [], circring._reduce
 
-    def counted_powers(a):
-        consumed.append(0)
-        for acc in real_powers(a):
-            consumed[-1] += 1
-            yield acc
+    def counted_reduce(prod, *args):
+        lanes.append(-(-prod.bit_length() // bits))  # its top lane is never zero
+        return real_reduce(prod, *args)
 
-    def counted_reduce(*args):
-        products[0] += 1
-        return real_reduce(*args)
-
-    monkeypatch.setattr(circring, "powers", counted_powers)
     monkeypatch.setattr(circring, "_reduce", counted_reduce)
-    return consumed, products
+    return lanes
 
 
 @pytest.mark.parametrize("elem, bound, index", [
@@ -64,13 +60,22 @@ def _walked(monkeypatch):
     (circring.geom_sum(6, 6, 3), 6, 2),
     (circring.identity(5, 3), 10, None),  # never zero: bound powers
     (circring.geom_sum(5, 2, 2), 5, None),
+    (circring.geom_sum(64, 2, 2), 64, 64),
+    (circring.geom_sum(28, 5, 3), 28, None),
+    (circring.identity(3, 2), 200, None),  # many full batches at the most lanes
+    (circring.identity(64, 3), 64, None),  # one lane: one product per power
 ])
 def test_min_nilpotent_index_step_count(monkeypatch, elem, bound, index):
-    consumed, products = _walked(monkeypatch)
+    lanes = _walked(monkeypatch, elem)
     assert min_nilpotent_index(elem, bound) == index
-    steps = bound if index is None else index
-    assert consumed == [steps]
-    assert products == [steps - 1]
+    # Every power up to the answer is computed, none past the bound.
+    assert (index or bound) - 1 <= sum(lanes) <= bound - 1
+    if index is None:
+        assert sum(lanes) == bound - 1
+    if index == 1:
+        assert lanes == []
+    most = circring._layout(elem.order, elem.modulus, circring._LANE_BYTES)[3]
+    assert len(lanes) <= math.ceil(math.log2(bound)) + math.ceil(bound / most)
 
 
 def _mul_walk(a, bound):
@@ -102,6 +107,39 @@ def test_min_nilpotent_index_equals_mul_walk(q):
         assert min_nilpotent_index(t, n) == _mul_walk(t, n)
     if squares:  # both outcomes were compared
         assert seen == {True, False}
+
+
+@st.composite
+def nilpotent_rich(draw):
+    """An element and a bound in [1, 3n], n <= 80. The element is T(n, m) over
+    Z_(p**e), often times a random element, which keeps a nilpotent T nilpotent
+    with an index no larger. By Theorem 1, T is nilpotent over Z_p when p | m
+    and the p-free part of n divides that of m, with index ceil(p**a / (p**b - 1))
+    for the p-parts p**a of n and p**b of m; so n is often a power of p, and m
+    is mostly drawn as p**b * c * (the p-free part of n), b small for long walks."""
+    p, e = draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 3))
+    top = {2: 6, 3: 3, 5: 2}[p]  # p**top <= 80
+    n = draw(st.one_of(st.integers(1, 80), st.integers(1, top).map(p.__pow__)))
+    n_star = n
+    while n_star % p == 0:
+        n_star //= p
+    m = draw(st.one_of(
+        st.integers(1, 4 * n),
+        st.builds(lambda b, c: p**b * c * n_star, st.integers(1, 3), st.integers(1, 4)),
+        st.builds(lambda c: p * c * n_star, st.integers(1, 4)),
+    ))
+    t = circring.geom_sum(n, m, p**e)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, p**e - 1), min_size=n, max_size=n))
+        t = circring.mul(t, circring.CirculantElem(n, p**e, tuple(coeffs)))
+    return t, draw(st.integers(1, 3 * n))
+
+
+@given(nilpotent_rich())
+@settings(max_examples=80, deadline=None)
+def test_min_nilpotent_index_equals_mul_walk_on_nilpotent_rich_elements(start):
+    a, bound = start
+    assert min_nilpotent_index(a, bound) == _mul_walk(a, bound)
 
 
 def test_frobenius_examples():
