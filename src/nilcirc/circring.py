@@ -221,16 +221,19 @@ def _first_zero_power(a: CirculantElem, bound: int) -> int | None:
 
 
 def power(a: CirculantElem, k: int) -> CirculantElem:
-    """a**k by square-and-multiply; k = 0 gives the identity."""
+    """a**k by left-to-right square-and-multiply; k = 0 gives the identity.
+
+    k >= 1 takes k.bit_length() - 1 squarings and popcount(k) - 1 products by a;
+    no product is by the identity.
+    """
     _check_int("k", k, 0)
-    result = identity(a.order, a.modulus)
-    base = a
-    while k:
-        if k & 1:
-            result = mul(result, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
+    if k == 0:
+        return identity(a.order, a.modulus)
+    result = a
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
     return result
 
 

@@ -34,6 +34,11 @@ EXIT_BAD_INPUT = 3
 # again in every row, so a scan's memory stays bounded however long the m axis.
 _BLOCK = 2**10
 
+# Report texts that lemma1 joins and writes at once: large enough that a write
+# is rare, small enough that a sweep over every target holds about 150 KB of
+# text at a time (a JSON report with --enumerate is about 300 bytes).
+_LINES = 2**8
+
 # Columns of each scan mode, fixed by the documented CSV headers.
 _CSV_COLUMNS = {
     "zp": ("n", "m", "nilpotent", "index", "agree"),
@@ -170,20 +175,6 @@ def _render_scan_human(par: dict, s: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_json_array(out, items) -> None:
-    """Stream a non-empty array of objects with the bytes of json.dumps(list, indent=2).
-
-    The items go 64 at a time to json.dumps, and each batch's text between its
-    brackets is written (one call per object is about 15 % slower).
-    """
-    items = iter(items)
-    sep = "[\n"
-    while batch := list(itertools.islice(items, 64)):
-        out.write(sep + json.dumps(batch, indent=2)[2:-2])
-        sep = ",\n"
-    out.write("\n]")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -308,40 +299,42 @@ def cmd_lemma1(args) -> int:
     hist = congruence.counts_by_target(inst) if args.enumerate else None
     # The recursion does not read c, so one count serves every target.
     rec = congruence.count_recursive(inst)
-    instance = inst.to_json_dict()  # each report replaces only "c", in place
 
     def agrees(c: int) -> bool:
         return rec == closed and (hist is None or hist[c] == closed)
 
-    def report(c: int) -> dict:
-        entry = {
-            "instance": {**instance, "c": c},
-            "closed_form": closed,
-            "recursive": rec,
-        }
-        if hist is not None:
-            entry["enumerated"] = hist[c]
-        entry["agree"] = agrees(c)
-        return entry
-
     all_agree = all(map(agrees, targets))
-    if args.json and args.c is not None:
-        print(json.dumps(report(inst.c), indent=2))
-    elif args.json:
-        _write_json_array(sys.stdout, map(report, targets))
-        print()
+    # Every target's text is one template filled with c, the enumerated count
+    # (with --enumerate) and the agreement word, in that order.
+    if args.json:  # the bytes of json.dumps(report, indent=2), or of the list of reports
+        report = {"instance": {**inst.to_json_dict(), "c": "@c"},
+                  "closed_form": closed, "recursive": rec}
+        if hist is not None:
+            report["enumerated"] = "@e"
+        report["agree"] = "@a"
+        item = json.dumps(report, indent=2)
+        if args.c is None:
+            item = "  " + item.replace("\n", "\n  ")
+        template = item.replace('"@c"', "%d").replace('"@e"', "%d").replace('"@a"', "%s")
+        words, sep = ("false", "true"), ",\n"
+        head, foot = ("", "") if args.c is not None else ("[\n", "\n]")
     else:
-        print(
-            f"instance d={inst.d} m*={inst.m_star} n*={inst.n_star} q={inst.qvars}"
-            f" (m={inst.m}, n={inst.n}): closed form {closed}"
-        )
-        for r in map(report, targets):
-            parts = [f"c={r['instance']['c']}: recursive {r['recursive']}"]
-            if "enumerated" in r:
-                parts.append(f"enumerated {r['enumerated']}")
-            parts.append("agree" if r["agree"] else "DISAGREE")
-            print(", ".join(parts))
-        print("all agree" if all_agree else "DISAGREEMENT detected")
+        template = (f"c=%d: recursive {rec}" + (", enumerated %d" if hist is not None else "")
+                    + ", %s")
+        words, sep = ("DISAGREE", "agree"), "\n"
+        head = (f"instance d={inst.d} m*={inst.m_star} n*={inst.n_star} q={inst.qvars}"
+                f" (m={inst.m}, n={inst.n}): closed form {closed}\n")
+        foot = "\nall agree" if all_agree else "\nDISAGREEMENT detected"
+    if hist is None:
+        texts = (template % (c, words[agrees(c)]) for c in targets)
+    else:
+        texts = (template % (c, hist[c], words[agrees(c)]) for c in targets)
+    sys.stdout.write(head)
+    lead = ""
+    while batch := list(itertools.islice(texts, _LINES)):
+        sys.stdout.write(lead + sep.join(batch))
+        lead = sep
+    sys.stdout.write(foot + "\n")
     return EXIT_OK if all_agree else EXIT_DISAGREE
 
 

@@ -2,14 +2,15 @@
 
 Here m = d*m_star, n = d**q * n_star, with d coprime to both starred parts and
 n_star dividing m_star; the variables range over [0, m). Three independent
-counters are provided: the closed form (m_star**q / n_star), a flat
-enumeration, and a recursion that mirrors how the closed form arises (branch
-on x_0 mod d, divide through by d, recurse with one variable fewer).
+counters are provided: the closed form (m_star**q / n_star), a brute-force
+histogram over every target (built one variable at a time from the values each
+term d**i * x_i takes, using none of the hypotheses), and a recursion that
+mirrors how the closed form arises (branch on x_0 mod d, divide through by d,
+recurse with one variable fewer).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -63,15 +64,33 @@ def count_closed_form(inst: Lemma1Instance) -> int:
 
 
 def counts_by_target(inst: Lemma1Instance) -> list[int]:
-    """One enumeration pass, histogrammed over every target c in [0, n)."""
+    """The number of tuples in [0, m)**qvars hitting each target c in [0, n).
+
+    Built one variable at a time: hist[j] counts the tuples of the variables so
+    far whose partial sum is j mod n, and variable i moves each partial sum by
+    every step w*y mod n, w = d**i mod n. That step depends only on y mod
+    period, period = n / gcd(w, n), so x_i in [0, m) takes min(m, period)
+    distinct steps, step y taken by m // period + (y < m % period) values of
+    x_i. At most m**i partial sums are nonzero before variable i, so the work is
+    qvars passes over two lists of n plus at most m + m**2 + ... + m**qvars
+    steps, no more than twice the m**qvars tuples a flat enumeration visits;
+    the budget is still on m**qvars.
+    """
     m, n = inst.m, inst.n
     if m**inst.qvars > ENUM_BUDGET:
         raise BudgetExceeded(f"{m}**{inst.qvars} tuples exceed budget {ENUM_BUDGET}")
-    weights = [pow(inst.d, i, n) for i in range(inst.qvars)]
-    hist = [0] * n
-    for xs in itertools.product(range(m), repeat=inst.qvars):
-        val = sum(w * x for w, x in zip(weights, xs)) % n
-        hist[val] += 1
+    hist = [1] + [0] * (n - 1)
+    for i in range(inst.qvars):
+        w = pow(inst.d, i, n)
+        period = n // math.gcd(w, n)
+        base, extra = divmod(m, period)
+        steps = [(w * y % n, base + (y < extra)) for y in range(min(m, period))]
+        new = [0] * n
+        for j, h in enumerate(hist):
+            if h:
+                for s, k in steps:
+                    new[(j + s) % n] += h * k
+        hist = new
     return hist
 
 

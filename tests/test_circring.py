@@ -161,6 +161,24 @@ def test_power_matches_iterated_multiplication(pair, k):
     assert power(a, k) == expected
 
 
+def test_power_never_multiplies_by_the_identity(monkeypatch):
+    # k >= 1 costs bit_length - 1 squarings and popcount - 1 products by a
+    a = geom_sum(6, 4, 7)
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(circring, "mul", counted)
+    expected = identity(6, 7)
+    for k in range(17):
+        calls.clear()
+        assert power(a, k) == expected, k
+        assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+        expected = mul(expected, a)
+
+
 def test_is_zero_examples():
     assert is_zero(geom_sum(3, 6, 2))
     assert not is_zero(identity(4, 3))

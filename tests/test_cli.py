@@ -750,6 +750,18 @@ def test_lemma1_all_targets(capsys):
     assert lines[-1] == "all agree"
 
 
+def test_lemma1_enumerates_at_the_budget_edge(capsys):
+    # m**q = 10**7 = ENUM_BUDGET tuples: answered, not refused
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "lemma1", "--d", "2", "--m-star", "5", "--n-star", "1", "--q", "7",
+        "--enumerate", "--c", "3",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[1] == "c=3: recursive 78125, enumerated 78125, agree"
+
+
 def test_lemma1_coprimality_violation(capsys):
     code, _, err = run(capsys, "lemma1", "--d", "2", "--m-star", "4", "--n-star", "1", "--q", "1")
     assert code == 3

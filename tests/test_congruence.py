@@ -1,6 +1,10 @@
 import dataclasses
+import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcirc import congruence
 from nilcirc.congruence import (
@@ -17,6 +21,28 @@ from nilcirc.errors import (
     InvalidInput,
     Overflow,
 )
+
+
+def flat_counts(inst):
+    """The small-instance reference: every tuple of [0, m)**qvars, histogrammed
+    by x_0 + d*x_1 + ... + d**(qvars-1)*x_(qvars-1) mod n."""
+    weights = [pow(inst.d, i, inst.n) for i in range(inst.qvars)]
+    hist = [0] * inst.n
+    for xs in itertools.product(range(inst.m), repeat=inst.qvars):
+        hist[sum(w * x for w, x in zip(weights, xs)) % inst.n] += 1
+    return hist
+
+
+@st.composite
+def small_instances(draw, tuples=4096):
+    """A valid instance with m**qvars <= tuples."""
+    d = draw(st.integers(2, 12))
+    m_star = draw(st.integers(1, tuples // d).filter(lambda x: math.gcd(x, d) == 1))
+    n_star = draw(st.sampled_from([k for k in range(1, m_star + 1) if m_star % k == 0]))
+    m, qvars = d * m_star, 1
+    while m ** (qvars + 1) <= tuples:
+        qvars += 1
+    return validate(d, m_star, n_star, draw(st.integers(1, qvars)))
 
 
 def test_validate_accepts_hypotheses():
@@ -70,6 +96,21 @@ def test_enumerate_budget(monkeypatch):
         counts_by_target(inst)  # 6**2 = 36 tuples needed
     monkeypatch.setattr(congruence, "ENUM_BUDGET", 36)
     assert counts_by_target(inst)[0] == 9
+
+
+@given(small_instances())
+@settings(max_examples=150, deadline=None)
+def test_histogram_matches_flat_enumeration(inst):
+    assert counts_by_target(inst) == flat_counts(inst)
+
+
+def test_histogram_past_the_enumeration_budget(monkeypatch):
+    # 18**12 tuples, about 1.2e15: only the budget keeps the histogram from it
+    inst = validate(2, 9, 3, 12)
+    monkeypatch.setattr(congruence, "ENUM_BUDGET", inst.m**inst.qvars)
+    hist = counts_by_target(inst)
+    assert len(hist) == inst.n == 12288
+    assert set(hist) == {count_closed_form(inst)} == {9**12 // 3}
 
 
 def test_recursive_examples():

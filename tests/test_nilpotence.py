@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcirc import circring, oracle
 from nilcirc.errors import InvalidInput, InvalidPrime
@@ -241,27 +243,49 @@ def test_degenerate_below_one_division_step():
 
 
 
-def test_zm_oracle_index_lies_in_the_per_prime_bracket():
-    """On criterion 2's grid, each nilpotent Z_m oracle index lies in
-    [max k_p, max e*k_p], k_p Theorem 1's index over Z_p for m = prod p**e.
+def zm_bracket_check(n, m):
+    """The Z_m oracle's index of T(n, m), checked against [max k_p, max e*k_p],
+    k_p Theorem 1's index over Z_p for m = prod p**e; with the bracket's low end.
 
     By the CRT the index over Z_m is the largest over the Z_(p**e). Reducing
     mod p is a ring map, so each is at least k_p. T**k_p = 0 mod p means
     T**k_p = p*U, so T**(e*k_p) = p**e * U**e = 0 over Z_(p**e). For
     squarefree m the bracket is one point.
     """
+    factors = factorize(m)
+    found = oracle.min_nilpotent_index(circring.geom_sum(n, m, m), n)
+    assert (found is not None) == decide_zm(n, m).nilpotent, (n, m, found)
+    if found is None:
+        return None, None
+    k = {p: decide_zp(n, m, p).index for p, _ in factors}
+    low, high = max(k.values()), max(e * k[p] for p, e in factors)
+    assert low <= found <= high, (n, m, found, low, high)
+    if all(e == 1 for _, e in factors):
+        assert found == low, (n, m, found, low)
+    return found, low
+
+
+def test_zm_oracle_index_lies_in_the_per_prime_bracket():
+    """Every nilpotent cell of criterion 2's grid is in the bracket."""
     above = nilpotent = 0
     for m in range(2, 37):
-        factors = factorize(m)
         for n in range(1, 37):
-            found = oracle.min_nilpotent_index(circring.geom_sum(n, m, m), n)
-            if found is None:
-                continue
-            k = {p: decide_zp(n, m, p).index for p, _ in factors}
-            low, high = max(k.values()), max(e * k[p] for p, e in factors)
-            assert low <= found <= high, (n, m, found, low, high)
-            if all(e == 1 for _, e in factors):
-                assert found == low, (n, m, found, low)
-            nilpotent += 1
-            above += found > low
+            found, low = zm_bracket_check(n, m)
+            if found is not None:
+                nilpotent += 1
+                above += found > low
     assert nilpotent > 100 and above > 0
+
+
+@st.composite
+def zm_cells(draw, top=96):
+    """(n, m) with n <= top, 2 <= m <= top; mostly a nilpotent cell of the row m."""
+    m = draw(st.integers(2, top))
+    nilpotent = [n for n in range(1, top + 1) if decide_zm(n, m).nilpotent]
+    return draw(st.sampled_from(nilpotent) | st.integers(1, top)), m
+
+
+@given(zm_cells())
+@settings(max_examples=200, deadline=None)
+def test_zm_oracle_index_bracket_up_to_96(cell):
+    zm_bracket_check(*cell)
