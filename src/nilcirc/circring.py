@@ -58,16 +58,23 @@ def shift_power(n: int, q: int, s: int) -> CirculantElem:
     return CirculantElem(n, q, tuple(coeffs))
 
 
-def geom_sum(n: int, m: int, q: int) -> CirculantElem:
-    """I + S + ... + S**(m-1) of order n over Z_q.
+def _geom_rule(n: int, m: int, q: int) -> tuple[int, int, int]:
+    """(extra, high, low): the coefficients of I + S + ... + S**(m-1) of order n
+    over Z_q are high below index extra and low from it on.
 
     Coefficient j counts how many i in [0, m) land in residue class j mod n,
-    which is floor(m/n) plus one when j < m mod n.
+    which is floor(m/n) plus one when j < m mod n; both are reduced mod q.
     """
+    base, extra = divmod(m, n)
+    return extra, (base + 1) % q, base % q
+
+
+def geom_sum(n: int, m: int, q: int) -> CirculantElem:
+    """I + S + ... + S**(m-1) of order n over Z_q, by _geom_rule."""
     _check_int("n", n, 1)
     _check_int("m", m, 1)
-    base, extra = divmod(m, n)
-    return CirculantElem(n, q, ((base + 1) % q,) * extra + (base % q,) * (n - extra))
+    extra, high, low = _geom_rule(n, m, q)
+    return CirculantElem(n, q, (high,) * extra + (low,) * (n - extra))
 
 
 def multiples_indicator(n: int, q: int, step: int) -> CirculantElem:
@@ -179,14 +186,22 @@ def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
     return CirculantElem(n, q, tuple(_unpack(_reduce(prod, n, q, layout), n, layout[0])))
 
 
-# Most bytes a batch of _first_zero_power doubles up to. A larger cap batches
+# Most bytes a batch of _walk doubles up to. A larger cap batches
 # lanes past about 128 bytes, which cost more than one product per power
 # (measured on CPython 3.11: caps of 1024 and 4096 slowed a Z_2 128x128 verify).
 _LANE_BYTES = 256
 
 
 def _first_zero_power(a: CirculantElem, bound: int) -> int | None:
-    """Smallest k in [1, bound] with a**k = 0, or None; no power past bound is computed.
+    """Smallest k in [1, bound] with a**k = 0, or None: _walk on a packed."""
+    n, q = a.order, a.modulus
+    layout = _layout(n, q, _LANE_BYTES)
+    return _walk(_pack(a.coeffs, layout[0]), n, q, layout, bound)
+
+
+def _walk(batch: int, n: int, q: int, layout: tuple, bound: int) -> int | None:
+    """Smallest k in [1, bound] with a**k = 0, or None, for the element a packed
+    in batch with _layout(n, q, _LANE_BYTES); no power past bound is computed.
 
     A batch packs a**(d-L+1), ..., a**d, lane i in 2n slots of w bytes from slot
     2n*i, room for an unfolded product: one product by a**L and one _reduce give
@@ -196,12 +211,10 @@ def _first_zero_power(a: CirculantElem, bound: int) -> int | None:
     a**j = 0 gives a**(j+1) = a**j * a = 0, so the zero lanes are a suffix: the
     first zero power follows the ceil(bit_length / lane bits) nonzero lanes.
     """
-    n, q = a.order, a.modulus
-    layout = _layout(n, q, _LANE_BYTES)
-    bits, most = 16 * n * layout[0], layout[3]  # bits of a lane, most lanes
-    batch = step = _pack(a.coeffs, layout[0])
     if not batch:
         return 1
+    bits, most = 16 * n * layout[0], layout[3]  # bits of a lane, most lanes
+    step = batch
     d = lanes = 1
     while d < bound:
         if bound - d < lanes:

@@ -58,12 +58,13 @@ _TEMPLATES = {
 # scan blocks: each n is split once per row, the first block of m once per scan
 
 
-def _blocks(p, n_max: int, ms: range):
-    """(n, block, verdicts) for each block of the grid, row by row.
+def _blocks(p, n_max: int, ms: range, verify: bool):
+    """(n, block, verdicts, splits) for each block of the grid, row by row.
 
     A block is one row n and at most _BLOCK consecutive values of m. Its
     verdicts map the offset of each nilpotent cell to the index over Z_p, or to
-    the clause over Z_m (p is None).
+    the clause over Z_m (p is None). On a verified Z_m scan, splits maps the
+    same offsets to the primes of m, which the oracle's bracket needs; else None.
     """
     split = nilpotence.prime_divisors if p is None else functools.partial(p_adic_valuation, p=p)
     for n in range(1, n_max + 1):
@@ -73,7 +74,8 @@ def _blocks(p, n_max: int, ms: range):
         for lo in range(0, ms.stop - ms.start, _BLOCK):  # len() overflows past 2**63
             block = ms[lo:lo + _BLOCK]
             m_split = (lambda i, block=block: split(block[i])) if lo else first.__getitem__
-            yield n, block, _decide(p, n, n_split, block, m_split)
+            vs = _decide(p, n, n_split, block, m_split)
+            yield n, block, vs, {i: m_split(i) for i in vs} if verify and p is None else None
 
 
 def _decide(p, n: int, n_split, block: range, m_split) -> dict:
@@ -105,21 +107,28 @@ def _decide(p, n: int, n_split, block: range, m_split) -> dict:
 # The oracle workers are top level so a process pool can pickle them.
 
 
-def _oracle_cell(p, n: int, m: int, verdict) -> tuple:
-    """The cell's verdict, the oracle's index and whether they agree; p is None over Z_m."""
-    # Bound n is sound: a nilpotent n x n matrix has index at most n.
-    found = oracle.min_nilpotent_index(circring.geom_sum(n, m, p or m), n)
-    if p is None:  # over Z_m the verdict is a clause
-        return verdict, found, (found is None) == (verdict is nilpotence.ZmClause.NOT_NILPOTENT)
-    return verdict, found, found == verdict  # over Z_p the index, None when not nilpotent
-
-
 def _oracle_block(p, piece: tuple) -> tuple:
-    """The (n, block, verdicts) piece and, by offset, each oracle result but the default."""
-    n, block, vs = piece
-    default = (nilpotence.ZmClause.NOT_NILPOTENT if p is None else None, None, True)
-    return n, block, vs, {i: key for i, m in enumerate(block)
-                          if (key := _oracle_cell(p, n, m, vs.get(i, default[0]))) != default}
+    """The (n, block, verdicts, splits) piece as (n, block, verdicts, keys): keys
+    holds by offset each cell's (verdict, oracle index, agree) but the default.
+
+    Over Z_p a cell agrees when the oracle's index is the verdict's. Over Z_m
+    the verdicts must agree, and the index of a nilpotent cell must lie in
+    nilpotence.zm_index_bracket, which is Theorem 1 at each prime of m.
+    """
+    n, block, vs, splits = piece
+    found = oracle.geom_sum_indices(n, block, p)
+    if p is not None:
+        return n, block, vs, {i: (v, k, k == v) for i, k in enumerate(found)
+                              if (v := vs.get(i)) is not None or k is not None}
+    no, keys = nilpotence.ZmClause.NOT_NILPOTENT, {}
+    for i, k in enumerate(found):
+        v = vs.get(i, no)
+        if v is not no:
+            bracket = nilpotence.zm_index_bracket(n, block[i], splits[i])
+            keys[i] = v, k, k is not None and bracket is not None and bracket[0] <= k <= bracket[1]
+        elif k is not None:
+            keys[i] = v, k, False
+    return n, block, vs, keys
 
 
 def _pooled(pool, p, blocks, window: int):
@@ -212,7 +221,7 @@ def cmd_scan(args) -> int:
         p = parameters["p"] = args.p
         no = None
     ms = range(m_lo, args.m_max + 1)
-    blocks = _blocks(p, args.n_max, ms)
+    blocks = _blocks(p, args.n_max, ms, args.verify)
     # The first block is decided now, before --out is opened: a composite p
     # fails its first split, and an existing file is left untouched.
     blocks = itertools.chain([next(blocks)], blocks)
@@ -238,7 +247,7 @@ def cmd_scan(args) -> int:
         # (n, block, verdicts, keys): keys holds by offset each key but the default,
         # a cell's key being its verdict, joined on a verified scan by the oracle's.
         if not args.verify:
-            pieces = ((n, block, vs, vs) for n, block, vs in blocks)
+            pieces = ((n, block, vs, vs) for n, block, vs, _ in blocks)
         elif pool is None:
             pieces = map(functools.partial(_oracle_block, p), blocks)
         else:
@@ -364,7 +373,22 @@ def cmd_identities(args) -> int:
 
 
 def _random_elem(rng: random.Random, n: int, q: int) -> circring.CirculantElem:
-    return circring.CirculantElem(n, q, tuple(rng.randrange(q) for _ in range(n)))
+    """An element with n coefficients uniform on [0, q), drawn together.
+
+    One draw fills n slots of w bytes (an array item size) with random bits;
+    each slot keeps its low k bits, k the bits of q - 1, so it is uniform on
+    [0, 2**k). A slot at q or above, at most half of them on average, is
+    dropped and drawn again, so every kept slot is uniform on [0, q).
+    """
+    k = (q - 1).bit_length()
+    w = 1 << max(0, (k - 1).bit_length() - 3)
+    coeffs = []
+    while len(coeffs) < n:
+        need = n - len(coeffs)
+        mask = int.from_bytes(((1 << k) - 1).to_bytes(w, "little") * need, "little")
+        slots = circring._unpack(rng.getrandbits(8 * w * need) & mask, need, w)
+        coeffs += [c for c in slots if c < q]
+    return circring.CirculantElem(n, q, tuple(coeffs))
 
 
 def _identities_random(args) -> int:

@@ -16,7 +16,7 @@ from typing import Optional
 from . import circring
 from .circring import CirculantElem
 from .errors import BudgetExceeded, InvalidInput
-from .numutil import _check_int, factorize, p_adic_valuation, pow_checked
+from .numutil import _check_int, _valuation, factorize, p_adic_valuation, pow_checked
 
 # Work budget of the identity checks, in ring coefficients: the order n of the
 # witness's T at a point, and trials * n * p.bit_length() over a random run of
@@ -147,6 +147,27 @@ def zm_clause(n: int, m: int, n_primes: tuple[int, ...], m_primes: tuple[int, ..
     elif m % n == 0:
         return ZmClause.MULTI_PRIME_DIVIDES
     return ZmClause.NOT_NILPOTENT
+
+
+def zm_index_bracket(n: int, m: int, m_primes: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """(max k_p, max e*k_p) over the primes p of m = prod p**e, k_p Theorem 1's
+    index of T(n, m) over Z_p; None if T is not nilpotent over some Z_p.
+
+    When T is nilpotent over Z_m, its index lies in this bracket. By the CRT,
+    Z_m[x]/(x**n - 1) is the product of the Z_(p**e)[x]/(x**n - 1), so the
+    index over Z_m is the largest over the Z_(p**e). Reducing mod p is a ring
+    map, so each is at least k_p. T**k_p = 0 mod p means T**k_p = p*U, so
+    T**(e*k_p) = p**e * U**e = 0 over Z_(p**e). For squarefree m the bracket
+    is one point. m_primes are taken as prime_divisors(m) made them.
+    """
+    low = high = 0
+    for p in m_primes:
+        e, m_star = _valuation(m, p)
+        k = zp_index(*_valuation(n, p), e, m_star, p)
+        if k is None:
+            return None
+        low, high = max(low, k), max(high, e * k)
+    return low, high
 
 
 def decide_zm(n: int, m: int) -> ZmVerdict:

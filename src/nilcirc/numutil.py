@@ -65,7 +65,11 @@ def p_adic_valuation(x: int, p: int) -> tuple[int, int]:
     """(e, x / p**e) for the largest e with p**e | x, like divmod."""
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
-    _check_int("x", x, 1)
+    return _valuation(_check_int("x", x, 1), p)
+
+
+def _valuation(x: int, p: int) -> tuple[int, int]:
+    """p_adic_valuation without its checks, for x >= 1 and p >= 2 known valid."""
     e = 0
     while x % p == 0:
         x //= p

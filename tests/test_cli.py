@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -724,13 +725,33 @@ def test_scan_streams(monkeypatch, fmt):
 
 def test_scan_disagreement_exits_one(capsys, monkeypatch):
     # force the oracle to miss every nilpotent cell; the scan must exit 1
-    monkeypatch.setattr(cli.oracle, "min_nilpotent_index", lambda a, bound: None)
+    monkeypatch.setattr(cli.oracle, "geom_sum_indices", lambda n, ms, q=None: [None] * len(ms))
     code, out, _ = run(
         capsys, "scan", "--p", "2", "--n-max", "2", "--m-max", "2",
         "--verify", "--jobs", "1",
     )
     assert code == 1
     assert "DISAGREE" in out
+
+
+def test_scan_zm_index_outside_bracket_exits_one(capsys, monkeypatch):
+    # T(6, 6) is nilpotent over Z_6 with index 2, as over Z_2 and Z_3; 6 is
+    # squarefree, so an oracle index of 3 agrees on the verdict but leaves the
+    # bracket [max k_p, max e*k_p] = [2, 2] that Theorem 1 gives at each prime.
+    real = cli.oracle.geom_sum_indices
+
+    def shifted(n, ms, q=None):
+        return [k + 1 if (n, m) == (6, 6) else k for m, k in zip(ms, real(n, ms, q))]
+
+    monkeypatch.setattr(cli.oracle, "geom_sum_indices", shifted)
+    grid = ("scan", "--zm", "--n-max", "6", "--m-max", "8", "--verify", "--jobs", "1")
+    code, out, _ = run(capsys, *grid)
+    assert code == 1
+    assert "agreements 41, disagreements 1" in out
+    assert out.splitlines()[-1] == "DISAGREE at n=6 m=6"
+    code, out, _ = run(capsys, *grid, "--format", "csv")
+    assert code == 1
+    assert "6,6,true,multi_prime_divides,3,false" in out.splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +948,21 @@ def test_identities_random_mode(capsys):
     assert code == 0
     assert "frobenius    pass (100/100)" in out
     assert "geometric    pass (100/100)" in out
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 251, 2**31 - 1, 2**53 + 5, 2**63 + 1, 2**64 - 59,
+                               2**64 - 1])
+def test_random_elem_is_uniform_and_seeded(q):
+    # 2000 coefficients, each uniform on [0, q): as often in the lower half as
+    # its share, and odd as often, which a float-based draw misses above 2**53.
+    rng = random.Random(q)
+    coeffs = [c for _ in range(40) for c in cli._random_elem(rng, 50, q).coeffs]
+    assert len(coeffs) == 2000 and all(0 <= c < q for c in coeffs)
+    for observed, share in ((sum(c < q // 2 for c in coeffs), (q // 2) / q),
+                            (sum(c % 2 for c in coeffs), (q // 2) / q)):
+        assert abs(observed / 2000 - share) < 0.06, (observed, share)
+    # --seed fixes every draw
+    assert cli._random_elem(random.Random(7), 50, q) == cli._random_elem(random.Random(7), 50, q)
 
 
 def test_identities_not_applicable(capsys):

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcirc import circring
-from nilcirc.errors import InvalidInput, InvalidPrime
+from nilcirc.errors import InvalidInput, InvalidPrime, Overflow
+from nilcirc.numutil import INT_LIMIT
 from nilcirc.oracle import (
     frobenius_check,
+    geom_sum_indices,
     geometric_identity_check,
     min_nilpotent_index,
 )
@@ -140,6 +142,82 @@ def nilpotent_rich(draw):
 def test_min_nilpotent_index_equals_mul_walk_on_nilpotent_rich_elements(start):
     a, bound = start
     assert min_nilpotent_index(a, bound) == _mul_walk(a, bound)
+
+
+# ---------------------------------------------------------------------------
+# geom_sum_indices: one search per block of m
+
+
+@st.composite
+def index_blocks(draw):
+    """(n, ms, q): n <= 64, q in {2, 3, 5, 7} or None for Z_m, and a block ms that
+    starts low, past q*n (a Z_q block then repeats its elements), past 1024, or
+    near 2**64 - 1. Over Z_m every cell is its own ring, so its blocks are short."""
+    n = draw(st.integers(1, 64))
+    q = draw(st.sampled_from((2, 3, 5, 7, None)))
+    period = (q or 1) * n
+    start = draw(st.one_of(
+        st.integers(1 if q else 2, period + 1),
+        st.integers(period + 1, 4 * period),
+        st.integers(1025, 4096),
+        st.integers(INT_LIMIT - 3 * period, INT_LIMIT),
+    ))
+    length = draw(st.integers(1, 2 * period + 2 if q else 12))
+    return n, range(start, min(start + length, INT_LIMIT + 1)), q
+
+
+@given(index_blocks())
+@settings(max_examples=80, deadline=None)
+def test_geom_sum_indices_equal_min_nilpotent_index(block):
+    n, ms, q = block
+    walked, real_walk = [], circring._walk
+
+    def recorded(t, *args):
+        walked.append(t)
+        return real_walk(t, *args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(circring, "_walk", recorded)
+        found = geom_sum_indices(n, ms, q)
+    elems = [circring.geom_sum(n, m, q or m) for m in ms]
+    assert found == [min_nilpotent_index(t, n) for t in elems]
+    # Each walk starts from the packed T, and each distinct T of a ring is walked once.
+    packed = [circring._pack(t.coeffs, circring._layout(n, t.modulus)[0]) for t in elems]
+    assert walked == (list(dict.fromkeys(packed)) if q else packed)
+
+
+def test_geom_sum_indices_walk_each_distinct_element_once(monkeypatch):
+    # T(n, m) over Z_2 depends only on m mod 2n, so a row of 1024 values of m
+    # holds at most 2n distinct elements. A walk's first product is t * t, t
+    # the packed T; the walk's later products hold two lanes or powers past T.
+    n, ms = 28, range(1025, 2049)
+    w = circring._layout(n, 2)[0]
+    squares = {circring._pack(circring.geom_sum(n, m, 2).coeffs, w) ** 2 for m in ms}
+    starts, real_reduce = [], circring._reduce
+
+    def counted_reduce(prod, *args):
+        starts.extend([prod] if prod in squares else [])
+        return real_reduce(prod, *args)
+
+    monkeypatch.setattr(circring, "_reduce", counted_reduce)
+    found = geom_sum_indices(n, ms, 2)
+    monkeypatch.undo()
+    assert found == [min_nilpotent_index(circring.geom_sum(n, m, 2), n) for m in ms]
+    assert 0 < len(starts) == len(set(starts)) <= 2 * n
+
+
+def test_geom_sum_indices_checks_its_arguments_once():
+    assert geom_sum_indices(3, range(5, 5), 2) == []
+    with pytest.raises(InvalidInput, match="^n must be >= 1"):
+        geom_sum_indices(0, range(1, 3), 2)
+    with pytest.raises(InvalidInput, match="^m must be >= 1"):
+        geom_sum_indices(2, range(0, 3), 2)
+    with pytest.raises(InvalidInput, match="^m must be >= 2"):
+        geom_sum_indices(2, range(1, 3))  # over Z_m, m is the modulus
+    with pytest.raises(Overflow):
+        geom_sum_indices(2, range(INT_LIMIT - 1, INT_LIMIT + 2), 2)
+    with pytest.raises(InvalidInput, match="^q must be >= 2"):
+        geom_sum_indices(2, range(1, 3), 1)
 
 
 def test_frobenius_examples():
