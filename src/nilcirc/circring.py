@@ -199,6 +199,24 @@ def _first_zero_power(a: CirculantElem, bound: int) -> int | None:
     return _walk(_pack(a.coeffs, layout[0]), n, q, layout, bound)
 
 
+def _block_walk(n: int, q: int, ms) -> list[int | None]:
+    """[_first_zero_power(geom_sum(n, m, q), n) for m in ms], the block walk of one
+    ring: one layout, each T(n, m) packed from _geom_rule, one _walk per distinct
+    packed T, the packed int being the memo key."""
+    layout = _layout(n, q, _LANE_BYTES)
+    slot = 8 * layout[0]
+    ones = ((1 << slot * n) - 1) // ((1 << slot) - 1)  # a 1 in each of the n slots
+    memo, found = {}, []
+    for m in ms:
+        # T packed: every slot low, the first extra slots high; each is in [0, q).
+        extra, high, low = _geom_rule(n, m, q)
+        t = low * ones + (high - low) * (ones & ((1 << slot * extra) - 1))
+        if t not in memo:
+            memo[t] = _walk(t, n, q, layout, n)
+        found.append(memo[t])
+    return found
+
+
 def _walk(batch: int, n: int, q: int, layout: tuple, bound: int) -> int | None:
     """Smallest k in [1, bound] with a**k = 0, or None, for the element a packed
     in batch with _layout(n, q, _LANE_BYTES); no power past bound is computed.

@@ -18,8 +18,8 @@ import sys
 from contextlib import nullcontext
 
 from . import circring, congruence, nilpotence, oracle
-from .errors import BudgetExceeded, InputError, InvalidPrime
-from .numutil import _check_int, is_prime, p_adic_valuation
+from .errors import InputError, InvalidPrime
+from .numutil import _check_int, check_budget, is_prime, p_adic_valuation
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -58,13 +58,12 @@ _TEMPLATES = {
 # scan blocks: each n is split once per row, the first block of m once per scan
 
 
-def _blocks(p, n_max: int, ms: range, verify: bool):
-    """(n, block, verdicts, splits) for each block of the grid, row by row.
+def _blocks(p, n_max: int, ms: range):
+    """(n, block, verdicts) for each block of the grid, row by row.
 
     A block is one row n and at most _BLOCK consecutive values of m. Its
     verdicts map the offset of each nilpotent cell to the index over Z_p, or to
-    the clause over Z_m (p is None). On a verified Z_m scan, splits maps the
-    same offsets to the primes of m, which the oracle's bracket needs; else None.
+    the clause over Z_m (p is None).
     """
     split = nilpotence.prime_divisors if p is None else functools.partial(p_adic_valuation, p=p)
     for n in range(1, n_max + 1):
@@ -74,8 +73,7 @@ def _blocks(p, n_max: int, ms: range, verify: bool):
         for lo in range(0, ms.stop - ms.start, _BLOCK):  # len() overflows past 2**63
             block = ms[lo:lo + _BLOCK]
             m_split = (lambda i, block=block: split(block[i])) if lo else first.__getitem__
-            vs = _decide(p, n, n_split, block, m_split)
-            yield n, block, vs, {i: m_split(i) for i in vs} if verify and p is None else None
+            yield n, block, _decide(p, n, n_split, block, m_split)
 
 
 def _decide(p, n: int, n_split, block: range, m_split) -> dict:
@@ -108,14 +106,14 @@ def _decide(p, n: int, n_split, block: range, m_split) -> dict:
 
 
 def _oracle_block(p, piece: tuple) -> tuple:
-    """The (n, block, verdicts, splits) piece as (n, block, verdicts, keys): keys
-    holds by offset each cell's (verdict, oracle index, agree) but the default.
+    """The (n, block, verdicts) piece as (n, block, verdicts, keys): keys holds
+    by offset each cell's (verdict, oracle index, agree) but the default.
 
     Over Z_p a cell agrees when the oracle's index is the verdict's. Over Z_m
     the verdicts must agree, and the index of a nilpotent cell must lie in
     nilpotence.zm_index_bracket, which is Theorem 1 at each prime of m.
     """
-    n, block, vs, splits = piece
+    n, block, vs = piece
     found = oracle.geom_sum_indices(n, block, p)
     if p is not None:
         return n, block, vs, {i: (v, k, k == v) for i, k in enumerate(found)
@@ -124,7 +122,7 @@ def _oracle_block(p, piece: tuple) -> tuple:
     for i, k in enumerate(found):
         v = vs.get(i, no)
         if v is not no:
-            bracket = nilpotence.zm_index_bracket(n, block[i], splits[i])
+            bracket = nilpotence.zm_index_bracket(n, block[i])
             keys[i] = v, k, k is not None and bracket is not None and bracket[0] <= k <= bracket[1]
         elif k is not None:
             keys[i] = v, k, False
@@ -221,7 +219,7 @@ def cmd_scan(args) -> int:
         p = parameters["p"] = args.p
         no = None
     ms = range(m_lo, args.m_max + 1)
-    blocks = _blocks(p, args.n_max, ms, args.verify)
+    blocks = _blocks(p, args.n_max, ms)
     # The first block is decided now, before --out is opened: a composite p
     # fails its first split, and an existing file is left untouched.
     blocks = itertools.chain([next(blocks)], blocks)
@@ -229,8 +227,8 @@ def cmd_scan(args) -> int:
     total = args.n_max * m_count
     if args.verify:  # the oracle's coefficients: m_count times the sum of n**2
         n = args.n_max
-        nilpotence.check_budget("scan --verify", m_count * n * (n + 1) * (2 * n + 1) // 6,
-                                nilpotence.VERIFY_BUDGET)
+        check_budget("scan --verify", m_count * n * (n + 1) * (2 * n + 1) // 6,
+                     nilpotence.VERIFY_BUDGET)
     summary = {"cells": total, "nilpotent": 0, "disagreements": []}
     # Only the oracle is worth a process pool (a closed-form cell costs less than
     # shipping it to a worker and back), and never more workers than CPUs or cells.
@@ -247,7 +245,7 @@ def cmd_scan(args) -> int:
         # (n, block, verdicts, keys): keys holds by offset each key but the default,
         # a cell's key being its verdict, joined on a verified scan by the oracle's.
         if not args.verify:
-            pieces = ((n, block, vs, vs) for n, block, vs, _ in blocks)
+            pieces = ((n, block, vs, vs) for n, block, vs in blocks)
         elif pool is None:
             pieces = map(functools.partial(_oracle_block, p), blocks)
         else:
@@ -299,11 +297,8 @@ def cmd_lemma1(args) -> int:
     closed = congruence.count_closed_form(inst)
     if args.c is not None:
         targets = (inst.c,)
-    elif inst.n > congruence.ENUM_BUDGET:
-        raise BudgetExceeded(
-            f"{inst.n} targets exceed budget {congruence.ENUM_BUDGET}; pass --c"
-        )
     else:
+        check_budget("lemma1 targets (pass --c)", inst.n, congruence.ENUM_BUDGET)
         targets = range(inst.n)
     hist = congruence.counts_by_target(inst) if args.enumerate else None
     # The recursion does not read c, so one count serves every target.
@@ -373,21 +368,15 @@ def cmd_identities(args) -> int:
 
 
 def _random_elem(rng: random.Random, n: int, q: int) -> circring.CirculantElem:
-    """An element with n coefficients uniform on [0, q), drawn together.
-
-    One draw fills n slots of w bytes (an array item size) with random bits;
-    each slot keeps its low k bits, k the bits of q - 1, so it is uniform on
-    [0, 2**k). A slot at q or above, at most half of them on average, is
-    dropped and drawn again, so every kept slot is uniform on [0, q).
-    """
-    k = (q - 1).bit_length()
-    w = 1 << max(0, (k - 1).bit_length() - 3)
+    """An element with n coefficients uniform on [0, q): each is k random bits,
+    k the bits of q - 1, drawn again while it is q or above (randrange's rule)."""
+    draw = functools.partial(rng.getrandbits, (q - 1).bit_length())
     coeffs = []
-    while len(coeffs) < n:
-        need = n - len(coeffs)
-        mask = int.from_bytes(((1 << k) - 1).to_bytes(w, "little") * need, "little")
-        slots = circring._unpack(rng.getrandbits(8 * w * need) & mask, need, w)
-        coeffs += [c for c in slots if c < q]
+    for _ in range(n):
+        c = draw()
+        while c >= q:
+            c = draw()
+        coeffs.append(c)
     return circring.CirculantElem(n, q, tuple(coeffs))
 
 
@@ -397,8 +386,8 @@ def _identities_random(args) -> int:
     # Checked before the first draw, which builds n coefficients.
     _check_int("n", args.n, 1)
     trials = args.random_trials
-    nilpotence.check_budget("identities", trials * args.n * args.p.bit_length(),
-                            nilpotence.IDENTITIES_BUDGET)
+    check_budget("identities", trials * args.n * args.p.bit_length(),
+                 nilpotence.IDENTITIES_BUDGET)
     rng = random.Random(args.seed)
     frob_pass = geo_pass = 0
     for _ in range(trials):

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import BudgetExceeded, CoprimalityViolated, DivisibilityViolated
-from .numutil import _check_int, pow_checked
+from .errors import CoprimalityViolated, DivisibilityViolated
+from .numutil import _check_int, check_budget, pow_checked
 
 ENUM_BUDGET = 10**7
 
@@ -77,8 +77,7 @@ def counts_by_target(inst: Lemma1Instance) -> list[int]:
     the budget is still on m**qvars.
     """
     m, n = inst.m, inst.n
-    if m**inst.qvars > ENUM_BUDGET:
-        raise BudgetExceeded(f"{m}**{inst.qvars} tuples exceed budget {ENUM_BUDGET}")
+    check_budget(f"counting {m}**{inst.qvars} tuples", m**inst.qvars, ENUM_BUDGET)
     hist = [1] + [0] * (n - 1)
     for i in range(inst.qvars):
         w = pow(inst.d, i, n)

@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import circring
 from .circring import CirculantElem
-from .errors import BudgetExceeded, InvalidInput
-from .numutil import _check_int, _valuation, factorize, p_adic_valuation, pow_checked
+from .errors import InvalidInput
+from .numutil import _check_int, _valuation, check_budget, factorize, p_adic_valuation, pow_checked
 
 # Work budget of the identity checks, in ring coefficients: the order n of the
 # witness's T at a point, and trials * n * p.bit_length() over a random run of
@@ -32,12 +32,6 @@ IDENTITIES_BUDGET = 2**12
 # grid over Z_2 counts about 9.1e7 and takes about 3.4 s at --jobs 1 on a
 # 2-CPU machine; 4096 x 4096 counts about 9.4e13.
 VERIFY_BUDGET = 2**27
-
-
-def check_budget(what: str, work: int, budget: int) -> None:
-    """Raise BudgetExceeded if work exceeds budget, before any of it is done."""
-    if work > budget:
-        raise BudgetExceeded(f"{what} work {work} exceeds budget {budget}")
 
 
 class ZmClause(enum.Enum):
@@ -149,7 +143,7 @@ def zm_clause(n: int, m: int, n_primes: tuple[int, ...], m_primes: tuple[int, ..
     return ZmClause.NOT_NILPOTENT
 
 
-def zm_index_bracket(n: int, m: int, m_primes: tuple[int, ...]) -> Optional[tuple[int, int]]:
+def zm_index_bracket(n: int, m: int) -> Optional[tuple[int, int]]:
     """(max k_p, max e*k_p) over the primes p of m = prod p**e, k_p Theorem 1's
     index of T(n, m) over Z_p; None if T is not nilpotent over some Z_p.
 
@@ -158,12 +152,13 @@ def zm_index_bracket(n: int, m: int, m_primes: tuple[int, ...]) -> Optional[tupl
     index over Z_m is the largest over the Z_(p**e). Reducing mod p is a ring
     map, so each is at least k_p. T**k_p = 0 mod p means T**k_p = p*U, so
     T**(e*k_p) = p**e * U**e = 0 over Z_(p**e). For squarefree m the bracket
-    is one point. m_primes are taken as prime_divisors(m) made them.
+    is one point.
     """
+    _check_int("n", n, 1)
+    _check_int("m", m, 2)
     low = high = 0
-    for p in m_primes:
-        e, m_star = _valuation(m, p)
-        k = zp_index(*_valuation(n, p), e, m_star, p)
+    for p, e in factorize(m):
+        k = zp_index(*_valuation(n, p), e, m // p**e, p)
         if k is None:
             return None
         low, high = max(low, k), max(high, e * k)

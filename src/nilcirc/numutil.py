@@ -1,4 +1,4 @@
-"""Integer utilities: domain check, primality, valuations, factorization, powers.
+"""Integer utilities: domain and budget checks, primality, valuations, factorization, powers.
 
 All arithmetic is exact. The supported input range is [0, 2**64); results that
 would leave it raise Overflow rather than ever returning a wrong value.
@@ -10,7 +10,7 @@ import collections
 import itertools
 import math
 
-from .errors import InvalidInput, InvalidPrime, Overflow
+from .errors import BudgetExceeded, InvalidInput, InvalidPrime, Overflow
 
 # Supported integer range. Python ints are unbounded, so this is a contract
 # with callers, not a machine limit; checked powers refuse to leave it.
@@ -32,6 +32,12 @@ def _check_int(name: str, value: int, lo: int) -> int:
     if value > INT_LIMIT:
         raise Overflow(f"{name}={value} is above the limit 2**64 - 1")
     return value
+
+
+def check_budget(what: str, work: int, budget: int) -> None:
+    """Raise BudgetExceeded if work exceeds budget, before any of it is done."""
+    if work > budget:
+        raise BudgetExceeded(f"{what} work {work} exceeds budget {budget}")
 
 
 def is_prime(n: int) -> bool:

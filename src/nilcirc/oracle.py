@@ -1,12 +1,11 @@
 """Brute-force ground truth: the index search and the structural identities.
 
 The index search computes every power T, T**2, ... up to the first zero one or
-the bound, and inspects each: circring._walk walks them in packed batches, many
+the bound, and inspects each: circring walks them in packed batches, many
 powers per product, and computes none past the bound. min_nilpotent_index
-searches one element; geom_sum_indices searches T(n, m) for a whole block of m,
-packing each T straight from geom_sum's coefficient rule and walking each
-distinct packed T once. No code is shared with the closed-form side beyond the
-ring primitives themselves.
+searches one element; geom_sum_indices searches T(n, m) for a whole block of m
+by circring's block walk, once per ring. No code is shared with the
+closed-form side beyond the ring primitives themselves.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ def geom_sum_indices(n: int, ms: range, q: Optional[int] = None) -> list[Optiona
     """[min_nilpotent_index(geom_sum(n, m, q), n) for m in ms]; q None is Z_m, q = m.
 
     The bound n is sound: a nilpotent n x n matrix has index at most n. n, q
-    and the ends of the range ms are checked once. Each ring takes its layout
-    once (the whole block over Z_q, every m over Z_m), and its distinct packed
-    T(n, m) are walked once each: the packed int is the memo key.
+    and the ends of the range ms are checked once. Each ring is one
+    circring._block_walk: the whole block over Z_q, every m over Z_m.
     """
     _check_int("n", n, 1)
     if not ms:
@@ -39,24 +37,8 @@ def geom_sum_indices(n: int, ms: range, q: Optional[int] = None) -> list[Optiona
     for m in ms[0], ms[-1]:
         _check_int("m", m, 2 if q is None else 1)
     if q is None:
-        return [_ring_indices(n, m, (m,))[0] for m in ms]
-    return _ring_indices(n, _check_int("q", q, 2), ms)
-
-
-def _ring_indices(n: int, q: int, ms) -> list[Optional[int]]:
-    """geom_sum_indices over one ring, order n over Z_q: one layout, one walk per distinct T."""
-    layout = circring._layout(n, q, circring._LANE_BYTES)
-    slot = 8 * layout[0]
-    ones = ((1 << slot * n) - 1) // ((1 << slot) - 1)  # a 1 in each of the n slots
-    memo, found = {}, []
-    for m in ms:
-        # T packed: every slot low, the first extra slots high; each is in [0, q).
-        extra, high, low = circring._geom_rule(n, m, q)
-        t = low * ones + (high - low) * (ones & ((1 << slot * extra) - 1))
-        if t not in memo:
-            memo[t] = circring._walk(t, n, q, layout, n)
-        found.append(memo[t])
-    return found
+        return [circring._block_walk(n, m, (m,))[0] for m in ms]
+    return circring._block_walk(n, _check_int("q", q, 2), ms)
 
 
 def frobenius_check(a: CirculantElem, b: CirculantElem, k: int) -> bool:

@@ -734,24 +734,46 @@ def test_scan_disagreement_exits_one(capsys, monkeypatch):
     assert "DISAGREE" in out
 
 
+def _scan_zm_6x8_patched(capsys, monkeypatch, cell, index):
+    """The human and CSV reports of a verified Z_m scan, n <= 6, m <= 8, whose
+    oracle reports index(k) at cell, k the true index there; both exit 1."""
+    real = cli.oracle.geom_sum_indices
+
+    def patched(n, ms, q=None):
+        return [index(k) if (n, m) == cell else k for m, k in zip(ms, real(n, ms, q))]
+
+    monkeypatch.setattr(cli.oracle, "geom_sum_indices", patched)
+    reports = []
+    for fmt in ("human", "csv"):
+        code, out, _ = run(capsys, "scan", "--zm", "--n-max", "6", "--m-max", "8",
+                           "--verify", "--jobs", "1", "--format", fmt)
+        assert code == 1
+        reports.append(out)
+    return reports
+
+
 def test_scan_zm_index_outside_bracket_exits_one(capsys, monkeypatch):
     # T(6, 6) is nilpotent over Z_6 with index 2, as over Z_2 and Z_3; 6 is
     # squarefree, so an oracle index of 3 agrees on the verdict but leaves the
     # bracket [max k_p, max e*k_p] = [2, 2] that Theorem 1 gives at each prime.
-    real = cli.oracle.geom_sum_indices
+    human, csv = _scan_zm_6x8_patched(capsys, monkeypatch, (6, 6), lambda k: k + 1)
+    assert "agreements 41, disagreements 1" in human
+    assert human.splitlines()[-1] == "DISAGREE at n=6 m=6"
+    assert "6,6,true,multi_prime_divides,3,false" in csv.splitlines()
 
-    def shifted(n, ms, q=None):
-        return [k + 1 if (n, m) == (6, 6) else k for m, k in zip(ms, real(n, ms, q))]
 
-    monkeypatch.setattr(cli.oracle, "geom_sum_indices", shifted)
-    grid = ("scan", "--zm", "--n-max", "6", "--m-max", "8", "--verify", "--jobs", "1")
-    code, out, _ = run(capsys, *grid)
-    assert code == 1
-    assert "agreements 41, disagreements 1" in out
-    assert out.splitlines()[-1] == "DISAGREE at n=6 m=6"
-    code, out, _ = run(capsys, *grid, "--format", "csv")
-    assert code == 1
-    assert "6,6,true,multi_prime_divides,3,false" in out.splitlines()
+@pytest.mark.parametrize("cell, index, line", [
+    # T(4, 6) is not nilpotent over Z_6 (4 does not divide 6, which has two
+    # primes): an oracle index there disagrees on the verdict itself.
+    ((4, 6), 2, "4,6,false,not_nilpotent,2,false"),
+    # T(6, 6) is nilpotent over Z_6: an oracle that finds no index disagrees.
+    ((6, 6), None, "6,6,true,multi_prime_divides,,false"),
+])
+def test_scan_zm_oracle_verdict_disagreement_exits_one(capsys, monkeypatch, cell, index, line):
+    human, csv = _scan_zm_6x8_patched(capsys, monkeypatch, cell, lambda k: index)
+    assert "agreements 41, disagreements 1" in human
+    assert human.splitlines()[-1] == "DISAGREE at n=%d m=%d" % cell
+    assert line in csv.splitlines()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from nilcirc.nilpotence import (
     decide_zp,
     index_expansion,
     witness_nonvanishing,
+    zm_index_bracket,
 )
 from nilcirc.numutil import factorize
 
@@ -262,6 +263,7 @@ def zm_bracket_check(n, m):
     assert low <= found <= high, (n, m, found, low, high)
     if all(e == 1 for _, e in factors):
         assert found == low, (n, m, found, low)
+    assert zm_index_bracket(n, m) == (low, high), (n, m)
     return found, low
 
 
@@ -275,6 +277,19 @@ def test_zm_oracle_index_lies_in_the_per_prime_bracket():
                 nilpotent += 1
                 above += found > low
     assert nilpotent > 100 and above > 0
+
+
+def test_zm_index_bracket_is_none_where_some_prime_is_not_nilpotent():
+    # Over Z_3, n* = 4 does not divide m* = 2: T(4, 6) is not nilpotent over Z_3,
+    # hence not over Z_6. Over Z_2 it is, with index ceil(2**2 / (2 - 1)) = 4.
+    assert zm_index_bracket(4, 6) is None
+    assert decide_zp(4, 6, 2).index == 4 and not decide_zp(4, 6, 3).nilpotent
+    assert zm_index_bracket(6, 6) == (2, 2)  # squarefree: one point
+    assert zm_index_bracket(4, 8) == (1, 3)  # 8 = 2**3: [k_2, 3*k_2]
+    with pytest.raises(InvalidInput, match="^n must be >= 1"):
+        zm_index_bracket(0, 6)
+    with pytest.raises(InvalidInput, match="^m must be >= 2"):
+        zm_index_bracket(4, 1)
 
 
 @st.composite
