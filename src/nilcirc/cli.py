@@ -369,7 +369,7 @@ def cmd_identities(args) -> int:
 
 def _random_elem(rng: random.Random, n: int, q: int) -> circring.CirculantElem:
     """An element with n coefficients uniform on [0, q): each is k random bits,
-    k the bits of q - 1, drawn again while it is q or above (randrange's rule)."""
+    k the bits of q - 1, drawn again while it is q or above (exact at any q)."""
     draw = functools.partial(rng.getrandbits, (q - 1).bit_length())
     coeffs = []
     for _ in range(n):
