@@ -8,6 +8,7 @@ canonical in [0, q).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import sys
 from array import array
@@ -133,6 +134,14 @@ def _unpack(value: int, n: int, w: int):
     return slots
 
 
+def _scalars(n: int, q: int) -> tuple[int, int, int]:
+    """(w, s, r) of _layout(n, q); w does not decrease with q (see _block_walk)."""
+    top = n * (q - 1) ** 2
+    s = top.bit_length() + q.bit_length()
+    r = -(-(1 << s) // q)
+    return ((top * r).bit_length() + 15) // 16, s, r
+
+
 def _layout(n: int, q: int, batch_bytes: int = 0) -> tuple:
     """Bytes per slot w, and the constants (w, s, r, lanes, half, even, low) of _reduce.
 
@@ -142,15 +151,12 @@ def _layout(n: int, q: int, batch_bytes: int = 0) -> tuple:
     lanes is the most lanes of 2n slots, a power of two, that fit in batch_bytes,
     or 1; the scalars are cheap, the masks are cached.
     """
-    top = n * (q - 1) ** 2
-    s = top.bit_length() + q.bit_length()
-    r = -(-(1 << s) // q)
-    w = ((top * r).bit_length() + 15) // 16
+    w, s, r = _scalars(n, q)
     lanes = 1 << max(0, (batch_bytes // (2 * n * w)).bit_length() - 1)
     return (w, s, r, lanes) + _masks(n, w, s, lanes)
 
 
-# Cached: they cost more than a small product; moduli of equal w and s share them.
+# Cached: they cost more than a small product; one part of a Z_m block shares them.
 @functools.lru_cache(maxsize=64)
 def _masks(n: int, w: int, s: int, lanes: int) -> tuple:
     """Over the lower n slots of each lane: half masks all; of two slots, even the lower, low a quotient."""
@@ -199,27 +205,40 @@ def _first_zero_power(a: CirculantElem, bound: int) -> int | None:
     return _walk(_pack(a.coeffs, layout[0]), n, q, layout, bound)
 
 
-def _block_walk(n: int, q: int, ms) -> list[int | None]:
-    """[_first_zero_power(geom_sum(n, m, q), n) for m in ms], the block walk of one
-    ring: one layout, each T(n, m) packed from _geom_rule, one _walk per distinct
-    packed T, the packed int being the memo key."""
-    layout = _layout(n, q, _LANE_BYTES)
-    slot = 8 * layout[0]
-    ones = ((1 << slot * n) - 1) // ((1 << slot) - 1)  # a 1 in each of the n slots
-    memo, found = {}, []
-    for m in ms:
-        # T packed: every slot low, the first extra slots high; each is in [0, q).
-        extra, high, low = _geom_rule(n, m, q)
-        t = low * ones + (high - low) * (ones & ((1 << slot * extra) - 1))
-        if t not in memo:
-            memo[t] = _walk(t, n, q, layout, n)
-        found.append(memo[t])
+def _block_walk(n: int, ms: range, q: int | None = None) -> list[int | None]:
+    """[_first_zero_power(geom_sum(n, m, q or m), n) for m in ms], ms ascending.
+
+    Over Z_q: one layout, one _walk per distinct packed T, the memo key. Over Z_m
+    (q None) each cell is its own ring: bisection cuts the block where a cell's own
+    slot width w changes, each part takes the layout of its largest modulus M, and
+    each cell q swaps in r_q = ceil(2**s / q) for M's s. Exact, with top_q =
+    n*(q-1)**2: 2**s > top_M*M >= top_q*q, so floor(v*r_q / 2**s) = floor(v/q) for
+    v <= top_q; (q-1)**2/q grows by over 1/2 per step and n*2**s/2 > top_q, so
+    top_q*r_q < top_M*2**s/M <= top_M*r_M < 2**(16w) for q < M. So M's slots, mask
+    and lanes serve q; under each q's own s, top*r grows with q: w does not fall.
+    """
+    found = []
+    while ms:  # Z_q: the whole block; Z_m: the cells of ms[0]'s own w
+        cut = len(ms) if q else bisect.bisect_right(
+            ms, _scalars(n, ms[0])[0], key=lambda m: _scalars(n, m)[0])
+        layout = _layout(n, q or ms[cut - 1], _LANE_BYTES)
+        slot, s, memo = 8 * layout[0], layout[1], {}
+        ones = ((1 << slot * n) - 1) // ((1 << slot) - 1)  # a 1 in each of the n slots
+        for m in ms[:cut]:
+            # T packed: every slot low, the first extra slots high; each is in [0, q or m).
+            extra, high, low = _geom_rule(n, m, q or m)
+            t = low * ones + (high - low) * (ones & ((1 << slot * extra) - 1))
+            if q is None or t not in memo:  # over Z_m every cell walks, in its own ring
+                cell = layout if q else layout[:2] + (-(-(1 << s) // m),) + layout[3:]
+                memo[t] = _walk(t, n, q or m, cell, n)
+            found.append(memo[t])
+        ms = ms[cut:]
     return found
 
 
 def _walk(batch: int, n: int, q: int, layout: tuple, bound: int) -> int | None:
-    """Smallest k in [1, bound] with a**k = 0, or None, for the element a packed
-    in batch with _layout(n, q, _LANE_BYTES); no power past bound is computed.
+    """Smallest k in [1, bound] with a**k = 0, or None, for a packed in batch by a
+    _LANE_BYTES layout that serves q (see _block_walk); no power past bound is computed.
 
     A batch packs a**(d-L+1), ..., a**d, lane i in 2n slots of w bytes from slot
     2n*i, room for an unfolded product: one product by a**L and one _reduce give

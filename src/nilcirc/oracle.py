@@ -4,7 +4,7 @@ The index search computes every power T, T**2, ... up to the first zero one or
 the bound, and inspects each: circring walks them in packed batches, many
 powers per product, and computes none past the bound. min_nilpotent_index
 searches one element; geom_sum_indices searches T(n, m) for a whole block of m
-by circring's block walk, once per ring. No code is shared with the
+by one call of circring's block walk. No code is shared with the
 closed-form side beyond the ring primitives themselves.
 """
 
@@ -27,18 +27,19 @@ def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
 def geom_sum_indices(n: int, ms: range, q: Optional[int] = None) -> list[Optional[int]]:
     """[min_nilpotent_index(geom_sum(n, m, q), n) for m in ms]; q None is Z_m, q = m.
 
-    The bound n is sound: a nilpotent n x n matrix has index at most n. n, q
-    and the ends of the range ms are checked once. Each ring is one
-    circring._block_walk: the whole block over Z_q, every m over Z_m.
+    The bound n is sound over a field Z_p, where a nilpotent n x n matrix has
+    index at most n, but not over every Z_m: CirculantElem(1, 4, (2,)) has index
+    2 over Z_4. Over Z_(p**e) the index is at most e*n, below n*m.bit_length(),
+    and a walk of T(n, m) to that bound finds no index above n at n <= 32,
+    m <= 96 (tests); a miss would read None and exit 1, not a wrong answer. n, q
+    and the ends of the ascending range ms are checked once.
     """
     _check_int("n", n, 1)
     if not ms:
         return []
     for m in ms[0], ms[-1]:
         _check_int("m", m, 2 if q is None else 1)
-    if q is None:
-        return [circring._block_walk(n, m, (m,))[0] for m in ms]
-    return circring._block_walk(n, _check_int("q", q, 2), ms)
+    return circring._block_walk(n, ms, q if q is None else _check_int("q", q, 2))
 
 
 def frobenius_check(a: CirculantElem, b: CirculantElem, k: int) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from nilcirc.circring import (
     _first_zero_power,
     _layout,
     _reduce,
+    _scalars,
     add,
     geom_sum,
     identity,
@@ -21,6 +23,7 @@ from nilcirc.circring import (
     shift_power,
 )
 from nilcirc.errors import InvalidInput, ShapeMismatch
+from nilcirc.numutil import INT_LIMIT
 
 
 def zero(n, q):
@@ -472,3 +475,77 @@ def test_reduce_folds_and_reduces_every_lane(q):
             packed += sum(v << (bits * (2 * n * i + j)) for j, v in enumerate(slots))
             expected += sum(v % q << (bits * (2 * n * i + j)) for j, v in enumerate(folded))
         assert _reduce(packed, n, q, layout) == expected
+
+
+# ---------------------------------------------------------------------------
+# The Z_m block walk: each part of one slot width shares the layout of its
+# largest modulus, and each cell swaps in its own reciprocal.
+
+
+@functools.cache
+def width_changes(n):
+    """Every modulus q <= INT_LIMIT whose own slot width exceeds that of q - 1."""
+    changes, q = [], 2
+    while True:
+        w, lo, hi = _scalars(n, q)[0], q, INT_LIMIT + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _scalars(n, mid)[0] > w else (mid + 1, hi)
+        if lo > INT_LIMIT:
+            return changes
+        assert _scalars(n, lo - 1)[0] == w < _scalars(n, lo)[0]
+        changes.append(q := lo)
+
+
+@given(st.integers(1, 256), st.integers(2, INT_LIMIT - 1))
+@settings(max_examples=300, deadline=None)
+def test_slot_width_does_not_decrease_with_the_modulus(n, q):
+    # top*r grows with q under each modulus's own shift: the bisection of
+    # _block_walk rests on this.
+    (w, _, r), (w1, _, r1) = _scalars(n, q), _scalars(n, q + 1)
+    assert w <= w1 and n * (q - 1) ** 2 * r < n * q**2 * r1
+
+
+@st.composite
+def zm_blocks(draw):
+    """(n, ms): n <= 64 and an ascending block of moduli that crosses a change of
+    slot width, starts low, or ends near 2**64 - 1."""
+    n = draw(st.integers(1, 64))
+    length = draw(st.integers(2, 40))
+    start = draw(st.one_of(
+        st.sampled_from(width_changes(n)).flatmap(
+            lambda c: st.integers(max(2, c - length + 1), max(2, c - 1))),
+        st.integers(2, 200),
+        st.integers(INT_LIMIT - 60, INT_LIMIT),
+    ))
+    return n, range(start, min(start + length, INT_LIMIT + 1))
+
+
+@given(zm_blocks())
+@settings(max_examples=60, deadline=None)
+def test_zm_block_walk_equals_each_cells_own_walk(block):
+    n, ms = block
+    assert circring._block_walk(n, ms) == [_first_zero_power(geom_sum(n, m, m), n) for m in ms]
+
+
+@pytest.mark.parametrize("big", (3, 40, 4093, 2**32 - 5, 2**64 - 1))
+def test_reduce_is_exact_at_the_top_under_a_larger_moduluss_layout(big):
+    # Over Z_m, _block_walk reduces mod q with the layout of a larger modulus M
+    # (slots, shift s, masks, lanes) and q's own reciprocal for that s. Lane 0
+    # counts down from top_q = n*(q-1)**2, lane 1 in steps of q from the largest
+    # value at most top_q congruent to q - 1; q spans smaller slot widths and M's.
+    for n in (1, 2, 3, 11, 48):
+        layout = _layout(n, big, 1 << 12)
+        bits, s = 8 * layout[0], layout[1]
+        assert layout[3] >= 2
+        own = max([2] + [c for c in width_changes(n) if c <= big])  # smallest of M's width
+        for q in {2, 3, own, big // 2 + 1, big - 1, big}:
+            cell = layout[:2] + (-(-(1 << s) // q),) + layout[3:]
+            top = n * (q - 1) ** 2
+            worst = top - (top + 1) % q
+            lanes = [[top - j for j in range(n)], [max(worst - q * j, 0) for j in range(n)]]
+            packed = expected = 0
+            for i, lane in enumerate(lanes):
+                packed += sum(v << bits * (2 * n * i + j) for j, v in enumerate(lane))
+                expected += sum(v % q << bits * (2 * n * i + j) for j, v in enumerate(lane))
+            assert _reduce(packed, n, q, cell) == expected, (n, q)

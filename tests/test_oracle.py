@@ -206,6 +206,62 @@ def test_geom_sum_indices_walk_each_distinct_element_once(monkeypatch):
     assert 0 < len(starts) == len(set(starts)) <= 2 * n
 
 
+def test_zm_walks_keep_their_own_slot_width_and_lanes(monkeypatch):
+    # A Z_m block is cut where a cell's own slot width changes; each part takes
+    # one layout, from its largest modulus, and every cell's walk keeps the slot
+    # width and lane count of _layout(n, m, _LANE_BYTES).
+    real_walk, real_layout = circring._walk, circring._layout
+    walks, layouts = [], []
+
+    def walk(t, n, q, layout, bound):
+        walks.append((q, layout[0], layout[3]))
+        return real_walk(t, n, q, layout, bound)
+
+    def layout_spy(n, q, batch_bytes=0):
+        layouts.append(q)
+        return real_layout(n, q, batch_bytes)
+
+    monkeypatch.setattr(circring, "_walk", walk)
+    monkeypatch.setattr(circring, "_layout", layout_spy)
+    parts = 0
+    for n, ms in ((1, range(2, 1026)), (2, range(2, 1026)), (28, range(2, 1026)),
+                  (64, range(2, 300)), (5, range(INT_LIMIT - 40, INT_LIMIT + 1))):
+        walks.clear()
+        layouts.clear()
+        geom_sum_indices(n, ms)
+        assert [q for q, _, _ in walks] == list(ms)
+        for q, w, lanes in walks:
+            own = real_layout(n, q, circring._LANE_BYTES)
+            assert (w, lanes) == (own[0], own[3]), (n, q)
+        widths = sorted({w for _, w, _ in walks})
+        assert layouts == [max(q for q, v, _ in walks if v == w) for w in widths]
+        parts += len(layouts)
+    # Width changes at m = 16, 256 (n = 1); 10, 130 (n = 2); 4, 39, 588 (n = 28); 3, 32 (n = 64).
+    assert parts == 3 + 3 + 4 + 3 + 1
+
+
+def test_bound_n_is_not_sound_for_every_element_over_z_m():
+    # Over a field a nilpotent n x n matrix has index at most n; over Z_4 the
+    # 1 x 1 matrix (2) has index 2.
+    two = circring.CirculantElem(1, 4, (2,))
+    assert min_nilpotent_index(two, 1) is None
+    assert min_nilpotent_index(two, 2) == 2
+
+
+def test_zm_geom_sum_index_stays_within_n_under_the_sound_bound():
+    # Over Z_(p**e) the index is at most e*n, and e < m.bit_length(). Walked to
+    # that bound, no T(n, m) with n <= 32, m <= 96 has an index above n, so the
+    # oracle's bound n misses no nilpotent cell there.
+    nilpotent = 0
+    for n in range(1, 33):
+        found = geom_sum_indices(n, range(2, 97))
+        for m, k in zip(range(2, 97), found):
+            sound = min_nilpotent_index(circring.geom_sum(n, m, m), n * m.bit_length())
+            assert sound == k and (k is None or k <= n), (n, m)
+            nilpotent += k is not None
+    assert nilpotent == 392
+
+
 def test_geom_sum_indices_checks_its_arguments_once():
     assert geom_sum_indices(3, range(5, 5), 2) == []
     with pytest.raises(InvalidInput, match="^n must be >= 1"):
