@@ -30,8 +30,9 @@ EXIT_BAD_INPUT = 3
 # Cells per block: a scan decides, tallies, renders and writes one row n and
 # at most this many consecutive values of m in one step, and a pooled verify
 # sends a worker one block per task. The first block's splits and texts of m
-# are kept for the later rows; past it, a block's candidate cells are split
-# again in every row, so a scan's memory stays bounded however long the m axis.
+# are kept for the later rows, and serve as the splits of the rows n in its
+# range; past it, a block's candidate cells are split again in every row, so a
+# scan's memory stays bounded however long the m axis.
 _BLOCK = 2**10
 
 # Report texts that lemma1 joins and writes at once: large enough that a write
@@ -55,7 +56,8 @@ _TEMPLATES = {
 
 
 # ---------------------------------------------------------------------------
-# scan blocks: each n is split once per row, the first block of m once per scan
+# scan blocks: each axis value is split once per scan, and over Z_p Theorem 1 is
+# evaluated once per block and valuation of m
 
 
 def _blocks(p, n_max: int, ms: range):
@@ -63,13 +65,14 @@ def _blocks(p, n_max: int, ms: range):
 
     A block is one row n and at most _BLOCK consecutive values of m. Its
     verdicts map the offset of each nilpotent cell to the index over Z_p, or to
-    the clause over Z_m (p is None).
+    the clause over Z_m (p is None). The first block of m is split before the
+    first row, and over Z_p its first split checks that p is prime. A row n in
+    that block's range takes its split from there; only later rows split n.
     """
     split = nilpotence.prime_divisors if p is None else functools.partial(p_adic_valuation, p=p)
+    first = list(map(split, ms[:_BLOCK]))
     for n in range(1, n_max + 1):
-        n_split = split(n)  # over Z_p the first split checks that p is prime
-        if n == 1:
-            first = list(map(split, ms[:_BLOCK]))
+        n_split = first[n - ms.start] if ms.start <= n < ms.start + len(first) else split(n)
         for lo in range(0, ms.stop - ms.start, _BLOCK):  # len() overflows past 2**63
             block = ms[lo:lo + _BLOCK]
             m_split = (lambda i, block=block: split(block[i])) if lo else first.__getitem__
@@ -83,6 +86,10 @@ def _decide(p, n: int, n_split, block: range, m_split) -> dict:
     - Over Z_p, with n = p**a * n_star and m = p**b * m_star, zp_index is None
       unless b >= 1 and n_star | m_star, so unless p * n_star | m, because
       gcd(p, n_star) = 1. The candidates are the multiples of p * n_star.
+      Every candidate is nilpotent: p | m gives b >= 1, and n_star | m with
+      gcd(n_star, p) = 1 gives n_star | m_star. Its index
+      ceil(p**a / (p**b - 1)) then depends on the row and b alone, so zp_index
+      is called once per distinct b in the block and its index reused.
     - Over Z_m, zm_clause is NOT_NILPOTENT unless n | m, or m is a power of a
       prime q and n is 1 or a power of q. The candidates are the multiples of
       n and, if n is a power of q, the powers of q below n (the rest divide by n).
@@ -90,8 +97,13 @@ def _decide(p, n: int, n_split, block: range, m_split) -> dict:
     if p is not None:
         a, n_star = n_split
         step = p * n_star
-        return {i: v for i in range(-block.start % step, len(block), step)
-                if (v := nilpotence.zp_index(a, n_star, *m_split(i), p)) is not None}
+        index, vs = {}, {}  # index: b -> Theorem 1's index in this row and block
+        for i in range(-block.start % step, len(block), step):
+            b, m_star = m_split(i)
+            if b not in index:
+                index[b] = nilpotence.zp_index(a, n_star, b, m_star, p)
+            vs[i] = index[b]
+        return vs
     offsets = range(-block.start % n, len(block), n)
     if len(n_split) == 1 and block.start < n:
         powers = map(n_split[0].__pow__, range(1, n.bit_length()))

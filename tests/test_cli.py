@@ -399,6 +399,30 @@ def test_scan_decides_only_candidate_cells(capsys, monkeypatch, mode, bound):
     assert 0 < calls[0] <= bound
 
 
+@pytest.mark.parametrize("mode, expected", [
+    # Over Z_3: m = 1..64 split once, every row n <= 64 among them; Theorem 1 once per
+    # row and distinct valuation b of its candidates (a row of n* > 21 has none).
+    (("--p", "3"), {"p_adic_valuation": 64, "zp_index": 60}),
+    # Over Z_m: m = 2..64 factored once, and row 1, which lies below the m axis.
+    (("--zm",), {"prime_divisors": 64}),
+])
+def test_scan_verdict_stage_splits_each_axis_value_once(capsys, monkeypatch, mode, expected):
+    calls = dict.fromkeys(["p_adic_valuation", "zp_index", "prime_divisors"], 0)
+
+    def counted(module, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "p_adic_valuation")
+    counted(nilpotence, "zp_index")
+    counted(nilpotence, "prime_divisors")
+    assert run(capsys, "scan", *mode, "--n-max", "64", "--m-max", "64", "--format", "csv")[0] == 0
+    assert calls == {**dict.fromkeys(calls, 0), **expected}
+
+
 def _csv_rows(out):
     header, *rows = out.splitlines()
     return [dict(zip(header.split(","), row.split(","))) for row in rows]
