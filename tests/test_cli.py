@@ -409,16 +409,15 @@ def test_scan_decides_only_candidate_cells(capsys, monkeypatch, mode, bound):
 def test_scan_verdict_stage_splits_each_axis_value_once(capsys, monkeypatch, mode, expected):
     calls = dict.fromkeys(["p_adic_valuation", "zp_index", "prime_divisors"], 0)
 
-    def counted(module, name):
+    def counted(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, wrapper)
+        return wrapper
 
-    counted(cli, "p_adic_valuation")
-    counted(nilpotence, "zp_index")
-    counted(nilpotence, "prime_divisors")
+    for module, name in [(cli, "p_adic_valuation"), (nilpotence, "zp_index"),
+                         (nilpotence, "prime_divisors")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert run(capsys, "scan", *mode, "--n-max", "64", "--m-max", "64", "--format", "csv")[0] == 0
     assert calls == {**dict.fromkeys(calls, 0), **expected}
 
