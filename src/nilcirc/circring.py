@@ -105,33 +105,27 @@ def scalar_mul(c: int, a: CirculantElem) -> CirculantElem:
     return CirculantElem(a.order, q, tuple(c * x % q for x in a.coeffs))
 
 
-# Slot widths in bytes that an array typecode of exactly that item size packs at
-# C speed; other widths go through int.to_bytes one coefficient at a time.
-_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
-_SWAP = sys.byteorder == "big"  # slots are little-endian on every platform
+# The offset of byte j, from the low end, of an 8-byte array item.
+_BYTE = range(8) if sys.byteorder == "little" else range(7, -1, -1)
 
 
 def _pack(coeffs, w: int) -> int:
-    """The coefficients as one int, coefficient j in bytes [j*w, (j+1)*w)."""
-    code = _TYPECODES.get(w)
-    if code is None:
-        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
-    slots = array(code, coeffs)
-    if _SWAP:
-        slots.byteswap()
-    return int.from_bytes(slots.tobytes(), "little")
+    """The coefficients as one int, coefficient j in bytes [j*w, (j+1)*w): the low
+    min(w, 8) bytes of each, one strided copy per byte. Exact: a coefficient, like a
+    slot that _reduce returns, is below q <= 2**64 - 1, and r > top >= (q - 1)**2 in
+    _scalars gives (q - 1)**4 <= top*r < 2**(16*w), so q - 1 < 2**(8*w)."""
+    items, slots = array("Q", coeffs).tobytes(), bytearray(len(coeffs) * w)
+    for j in range(min(w, 8)):
+        slots[j::w] = items[_BYTE[j]::8]
+    return int.from_bytes(slots, "little")
 
 
 def _unpack(value: int, n: int, w: int):
-    """The n slots of w bytes of value, inverse of _pack."""
-    data = value.to_bytes(n * w, "little")
-    code = _TYPECODES.get(w)
-    if code is None:
-        return [int.from_bytes(data[i : i + w], "little") for i in range(0, n * w, w)]
-    slots = array(code, data)
-    if _SWAP:
-        slots.byteswap()
-    return slots
+    """The n slots of w bytes of value as 8-byte items, inverse of _pack."""
+    slots, items = value.to_bytes(n * w, "little"), bytearray(8 * n)
+    for j in range(min(w, 8)):
+        items[_BYTE[j]::8] = slots[j::w]
+    return array("Q", items)
 
 
 def _scalars(n: int, q: int) -> tuple[int, int, int]:
@@ -142,17 +136,23 @@ def _scalars(n: int, q: int) -> tuple[int, int, int]:
     return ((top * r).bit_length() + 15) // 16, s, r
 
 
-def _layout(n: int, q: int, batch_bytes: int = 0) -> tuple:
+# Most bytes a batch of _walk doubles up to. A larger cap batches
+# lanes past about 128 bytes, which cost more than one product per power
+# (measured on CPython 3.11: caps of 1024 and 4096 slowed a Z_2 128x128 verify).
+_LANE_BYTES = 256
+
+
+def _layout(n: int, q: int) -> tuple:
     """Bytes per slot w, and the constants (w, s, r, lanes, half, even, low) of _reduce.
 
     A folded slot v is at most top = n*(q-1)**2 < 2**s / q, so r = ceil(2**s / q)
     gives floor(v*r / 2**s) = floor(v / q) (Granlund and Montgomery, "Division by
     invariant integers using multiplication", PLDI 1994). Two slots hold top*r.
-    lanes is the most lanes of 2n slots, a power of two, that fit in batch_bytes,
-    or 1; the scalars are cheap, the masks are cached.
+    lanes is the most lanes of 2n slots, a power of two, that fit in _LANE_BYTES,
+    or 1; a product of fewer lanes, like mul's, reduces alike (& keeps the shorter size).
     """
     w, s, r = _scalars(n, q)
-    lanes = 1 << max(0, (batch_bytes // (2 * n * w)).bit_length() - 1)
+    lanes = 1 << max(0, (_LANE_BYTES // (2 * n * w)).bit_length() - 1)
     return (w, s, r, lanes) + _masks(n, w, s, lanes)
 
 
@@ -192,16 +192,10 @@ def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
     return CirculantElem(n, q, tuple(_unpack(_reduce(prod, n, q, layout), n, layout[0])))
 
 
-# Most bytes a batch of _walk doubles up to. A larger cap batches
-# lanes past about 128 bytes, which cost more than one product per power
-# (measured on CPython 3.11: caps of 1024 and 4096 slowed a Z_2 128x128 verify).
-_LANE_BYTES = 256
-
-
 def _first_zero_power(a: CirculantElem, bound: int) -> int | None:
     """Smallest k in [1, bound] with a**k = 0, or None: _walk on a packed."""
     n, q = a.order, a.modulus
-    layout = _layout(n, q, _LANE_BYTES)
+    layout = _layout(n, q)
     return _walk(_pack(a.coeffs, layout[0]), n, q, layout, bound)
 
 
@@ -221,7 +215,7 @@ def _block_walk(n: int, ms: range, q: int | None = None) -> list[int | None]:
     while ms:  # Z_q: the whole block; Z_m: the cells of ms[0]'s own w
         cut = len(ms) if q else bisect.bisect_right(
             ms, _scalars(n, ms[0])[0], key=lambda m: _scalars(n, m)[0])
-        layout = _layout(n, q or ms[cut - 1], _LANE_BYTES)
+        layout = _layout(n, q or ms[cut - 1])
         slot, s, memo = 8 * layout[0], layout[1], {}
         ones = ((1 << slot * n) - 1) // ((1 << slot) - 1)  # a 1 in each of the n slots
         for m in ms[:cut]:
@@ -271,20 +265,22 @@ def _walk(batch: int, n: int, q: int, layout: tuple, bound: int) -> int | None:
 
 
 def power(a: CirculantElem, k: int) -> CirculantElem:
-    """a**k by left-to-right square-and-multiply; k = 0 gives the identity.
+    """a**k by left-to-right square-and-multiply on a packed once; k = 0 gives the identity.
 
-    k >= 1 takes k.bit_length() - 1 squarings and popcount(k) - 1 products by a;
-    no product is by the identity.
+    k >= 1 takes k.bit_length() - 1 squarings and popcount(k) - 1 products by a,
+    each a multiply and a _reduce as in mul; no product is by the identity.
     """
     _check_int("k", k, 0)
+    n, q = a.order, a.modulus
     if k == 0:
-        return identity(a.order, a.modulus)
-    result = a
+        return identity(n, q)
+    layout = _layout(n, q)
+    base = result = _pack(a.coeffs, layout[0])
     for bit in bin(k)[3:]:
-        result = mul(result, result)
+        result = _reduce(result * result, n, q, layout)
         if bit == "1":
-            result = mul(result, a)
-    return result
+            result = _reduce(result * base, n, q, layout)
+    return CirculantElem(n, q, tuple(_unpack(result, n, layout[0])))
 
 
 def is_zero(a: CirculantElem) -> bool:

@@ -19,7 +19,7 @@ from contextlib import nullcontext
 
 from . import circring, congruence, nilpotence, oracle
 from .errors import InputError, InvalidPrime
-from .numutil import _check_int, check_budget, is_prime, p_adic_valuation
+from .numutil import _check_int, _valuation, check_budget, is_prime
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -65,11 +65,11 @@ def _blocks(p, n_max: int, ms: range):
 
     A block is one row n and at most _BLOCK consecutive values of m. Its
     verdicts map the offset of each nilpotent cell to the index over Z_p, or to
-    the clause over Z_m (p is None). The first block of m is split before the
-    first row, and over Z_p its first split checks that p is prime. A row n in
-    that block's range takes its split from there; only later rows split n.
+    the clause over Z_m (p is None); p is a prime checked by the caller. The
+    first block of m is split before the first row, and a row n in that block's
+    range takes its split from there; only later rows split n.
     """
-    split = nilpotence.prime_divisors if p is None else functools.partial(p_adic_valuation, p=p)
+    split = nilpotence.prime_divisors if p is None else functools.partial(_valuation, p=p)
     first = list(map(split, ms[:_BLOCK]))
     for n in range(1, n_max + 1):
         n_split = first[n - ms.start] if ms.start <= n < ms.start + len(first) else split(n)
@@ -126,18 +126,15 @@ def _oracle_block(p, piece: tuple) -> tuple:
     nilpotence.zm_index_bracket, which is Theorem 1 at each prime of m.
     """
     n, block, vs = piece
-    found = oracle.geom_sum_indices(n, block, p)
-    if p is not None:
-        return n, block, vs, {i: (v, k, k == v) for i, k in enumerate(found)
-                              if (v := vs.get(i)) is not None or k is not None}
-    no, keys = nilpotence.ZmClause.NOT_NILPOTENT, {}
-    for i, k in enumerate(found):
-        v = vs.get(i, no)
-        if v is not no:
-            bracket = nilpotence.zm_index_bracket(n, block[i])
-            keys[i] = v, k, k is not None and bracket is not None and bracket[0] <= k <= bracket[1]
-        elif k is not None:
-            keys[i] = v, k, False
+    no = None if p is not None else nilpotence.ZmClause.NOT_NILPOTENT
+    keys = {}
+    for i, k in enumerate(oracle.geom_sum_indices(n, block, p)):
+        if (v := vs.get(i, no)) is not no or k is not None:
+            if p is not None:
+                keys[i] = v, k, k == v
+            else:
+                bracket = v is not no and k is not None and nilpotence.zm_index_bracket(n, block[i])
+                keys[i] = v, k, bool(bracket) and bracket[0] <= k <= bracket[1]
     return n, block, vs, keys
 
 
@@ -230,11 +227,10 @@ def cmd_scan(args) -> int:
     else:
         p = parameters["p"] = args.p
         no = None
+        if not is_prime(p):
+            raise InvalidPrime(f"{p} is not prime")
     ms = range(m_lo, args.m_max + 1)
     blocks = _blocks(p, args.n_max, ms)
-    # The first block is decided now, before --out is opened: a composite p
-    # fails its first split, and an existing file is left untouched.
-    blocks = itertools.chain([next(blocks)], blocks)
     m_count = args.m_max - m_lo + 1
     total = args.n_max * m_count
     if args.verify:  # the oracle's coefficients: m_count times the sum of n**2

@@ -29,7 +29,7 @@ IDENTITIES_BUDGET = 2**12
 # Work budget of `nilcirc scan --verify`, in coefficients: the number of m
 # values times the sum of n**2 over n <= n_max, since the oracle's walk on a
 # cell of order n reduces up to n powers of n coefficients each. The 128 x 128
-# grid over Z_2 counts about 9.1e7 and takes about 3.4 s at --jobs 1 on a
+# grid over Z_2 counts about 9.1e7 and takes about 1.6 s at --jobs 1 on a
 # 2-CPU machine; 4096 x 4096 counts about 9.4e13.
 VERIFY_BUDGET = 2**27
 

@@ -5,6 +5,7 @@ the test if it is ever called.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -45,6 +46,35 @@ def test_summarize_lower_is_better_and_ties_count_for_neither():
     assert row["change_wins"] == "1/3"  # a tie, a win, a loss
     assert row["worse_by"] == pytest.approx(5 / 5 - 1)
     assert row["median_gap_exceeds_parent_iqr"] is False
+
+
+def test_trace_counts_keep_count_valued_metrics_only():
+    per_layer = [
+        {"name": "circring.mul.calls", "unit": "count", "better": "lower"},
+        {"name": "circring.mul.us_per_call.n16", "unit": "us", "better": "lower"},
+        {"name": "cli.output_bytes", "unit": "B", "better": "lower"},
+        {"name": "trace.ops_per_s_traced", "unit": "1/s", "better": "higher"},
+    ]
+    report = {"correct": True, "metrics": {
+        "circring.mul.calls": {"value": 54, "unit": "count"},
+        "circring.mul.us_per_call.n16": {"value": 6.3, "unit": "us"},
+        "cli.output_bytes": {"value": 304, "unit": "B"},
+        "trace.ops_per_s_traced": {"value": 75701.4, "unit": "1/s"},
+        "ops_per_s": {"value": 83009.1, "unit": "1/s"},  # end to end, not per layer
+    }}
+    assert bench_pairs.trace_counts(report, per_layer) == {
+        "circring.mul.calls": 54, "cli.output_bytes": 304, "correct": True}
+
+
+def test_trace_counts_of_this_checkouts_declared_metrics():
+    declared = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    names = {m["name"] for m in declared["per_layer"]}
+    report = {"correct": False, "metrics": {name: {"value": 1} for name in names}}
+    kept = bench_pairs.trace_counts(report, declared["per_layer"])
+    assert {"circring.mul.calls", "cli.output_bytes", "correct"} <= set(kept)
+    timed = {"circring.mul.self_s", "circring.mul.us_per_call.n16", "numutil.factorize.p99_ms",
+             "trace.ops_per_s_untraced", "trace.overhead"}
+    assert timed <= names and not timed & set(kept)
 
 
 def test_trace_unit_seconds_reads_the_trees_own_run_py(tmp_path):

@@ -164,22 +164,38 @@ def test_power_matches_iterated_multiplication(pair, k):
     assert power(a, k) == expected
 
 
+def counting(monkeypatch, *names):
+    """Replace each named circring function by a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, real=getattr(circring, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(circring, name, counted)
+    return calls
+
+
 def test_power_never_multiplies_by_the_identity(monkeypatch):
-    # k >= 1 costs bit_length - 1 squarings and popcount - 1 products by a
+    # k >= 1 costs bit_length - 1 squarings and popcount - 1 products by a,
+    # each one _reduce of the packed product
     a = geom_sum(6, 4, 7)
-    calls = []
-
-    def counted(x, y):
-        calls.append(1)
-        return mul(x, y)
-
-    monkeypatch.setattr(circring, "mul", counted)
     expected = identity(6, 7)
     for k in range(17):
-        calls.clear()
+        calls = counting(monkeypatch, "_reduce")
         assert power(a, k) == expected, k
-        assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+        assert calls["_reduce"] == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+        monkeypatch.undo()
         expected = mul(expected, a)
+
+
+@pytest.mark.parametrize("q", (7, 2**64 - 59))
+def test_power_packs_once_and_unpacks_once(monkeypatch, q):
+    a = CirculantElem(5, q, (1, q - 1, 0, 3, q - 2))
+    for k in range(1, 17):
+        calls = counting(monkeypatch, "_pack", "_unpack", "mul")
+        power(a, k)
+        assert calls == {"_pack": 1, "_unpack": 1, "mul": 0}, k
+        monkeypatch.undo()
 
 
 def test_is_zero_examples():
@@ -277,7 +293,7 @@ def test_dense_product_matches_mul():
 
 
 # One modulus per slot-width tier of mul: the slot holds n*(q-1)**2, from one
-# byte (small q and n) through the array widths to 17 bytes at q = 2**64 - 1.
+# byte (small q and n) to 17 bytes at q = 2**64 - 1.
 TIER_MODULI = (16, 2**16 - 15, 2**32 - 5, 2**61 - 1, 2**64 - 59, 2**64 - 1)
 
 tier_modulus = st.one_of(
@@ -365,16 +381,16 @@ def never_zero(rng, n, q):
     return CirculantElem(n, q, tuple(coeffs))
 
 
-# Moduli and orders whose slot widths, from _layout, reach every path of the
-# packing: the array widths 1, 2, 4 and 8 bytes and the int.to_bytes widths
-# between and above them.
-POWERS_MODULI = (2, 3, 251, 4093, 65537, 2**31 - 1, 2**61 - 1, 2**64 - 59)
+# Moduli and orders whose slot widths, from _layout, reach every width from 1 to
+# 8 bytes, where a slot holds part of its coefficient's 8-byte item, and widths
+# above 8 bytes, where it holds all of it.
+POWERS_MODULI = (2, 3, 251, 4093, 65537, 1000003, 16777213, 2**31 - 1, 2**61 - 1, 2**64 - 59)
 POWERS_ORDERS = (1, 2, 5, 16, 33, 64)
 
 
 def test_powers_moduli_reach_every_slot_width():
     widths = {_layout(n, q)[0] for q in POWERS_MODULI for n in POWERS_ORDERS}
-    assert {1, 2, 3, 4, 5, 8, 16, 17} <= widths
+    assert {1, 2, 3, 4, 5, 6, 7, 8, 16, 17} <= widths
 
 
 @pytest.mark.parametrize("q", POWERS_MODULI)
@@ -460,11 +476,12 @@ def test_reduce_is_exact_on_the_top_slot_values(q):
 
 
 @pytest.mark.parametrize("q", (2, 3, 251, 2**32 - 5, 2**64 - 1))
-def test_reduce_folds_and_reduces_every_lane(q):
+def test_reduce_folds_and_reduces_every_lane(monkeypatch, q):
     # Lanes of 2n slots; lane i holds unfolded slot values whose folds reach the
     # bound n*(q-1)**2, shifted by i so that no two lanes are alike.
+    monkeypatch.setattr(circring, "_LANE_BYTES", 1 << 12)
     for n in (1, 2, 3, 8, 11):
-        layout = _layout(n, q, 1 << 12)
+        layout = _layout(n, q)
         lanes, bits, top = layout[3], 8 * layout[0], n * (q - 1) ** 2
         assert lanes >= 2
         packed = expected = 0
@@ -529,13 +546,14 @@ def test_zm_block_walk_equals_each_cells_own_walk(block):
 
 
 @pytest.mark.parametrize("big", (3, 40, 4093, 2**32 - 5, 2**64 - 1))
-def test_reduce_is_exact_at_the_top_under_a_larger_moduluss_layout(big):
+def test_reduce_is_exact_at_the_top_under_a_larger_moduluss_layout(monkeypatch, big):
     # Over Z_m, _block_walk reduces mod q with the layout of a larger modulus M
     # (slots, shift s, masks, lanes) and q's own reciprocal for that s. Lane 0
     # counts down from top_q = n*(q-1)**2, lane 1 in steps of q from the largest
     # value at most top_q congruent to q - 1; q spans smaller slot widths and M's.
+    monkeypatch.setattr(circring, "_LANE_BYTES", 1 << 12)
     for n in (1, 2, 3, 11, 48):
-        layout = _layout(n, big, 1 << 12)
+        layout = _layout(n, big)
         bits, s = 8 * layout[0], layout[1]
         assert layout[3] >= 2
         own = max([2] + [c for c in width_changes(n) if c <= big])  # smallest of M's width

@@ -402,12 +402,12 @@ def test_scan_decides_only_candidate_cells(capsys, monkeypatch, mode, bound):
 @pytest.mark.parametrize("mode, expected", [
     # Over Z_3: m = 1..64 split once, every row n <= 64 among them; Theorem 1 once per
     # row and distinct valuation b of its candidates (a row of n* > 21 has none).
-    (("--p", "3"), {"p_adic_valuation": 64, "zp_index": 60}),
+    (("--p", "3"), {"_valuation": 64, "zp_index": 60}),
     # Over Z_m: m = 2..64 factored once, and row 1, which lies below the m axis.
     (("--zm",), {"prime_divisors": 64}),
 ])
 def test_scan_verdict_stage_splits_each_axis_value_once(capsys, monkeypatch, mode, expected):
-    calls = dict.fromkeys(["p_adic_valuation", "zp_index", "prime_divisors"], 0)
+    calls = dict.fromkeys(["_valuation", "zp_index", "prime_divisors"], 0)
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -415,7 +415,7 @@ def test_scan_verdict_stage_splits_each_axis_value_once(capsys, monkeypatch, mod
             return original(*args, **kwargs)
         return wrapper
 
-    for module, name in [(cli, "p_adic_valuation"), (nilpotence, "zp_index"),
+    for module, name in [(cli, "_valuation"), (nilpotence, "zp_index"),
                          (nilpotence, "prime_divisors")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert run(capsys, "scan", *mode, "--n-max", "64", "--m-max", "64", "--format", "csv")[0] == 0

@@ -76,7 +76,7 @@ def test_min_nilpotent_index_step_count(monkeypatch, elem, bound, index):
         assert sum(lanes) == bound - 1
     if index == 1:
         assert lanes == []
-    most = circring._layout(elem.order, elem.modulus, circring._LANE_BYTES)[3]
+    most = circring._layout(elem.order, elem.modulus)[3]
     assert len(lanes) <= math.ceil(math.log2(bound)) + math.ceil(bound / most)
 
 
@@ -209,7 +209,7 @@ def test_geom_sum_indices_walk_each_distinct_element_once(monkeypatch):
 def test_zm_walks_keep_their_own_slot_width_and_lanes(monkeypatch):
     # A Z_m block is cut where a cell's own slot width changes; each part takes
     # one layout, from its largest modulus, and every cell's walk keeps the slot
-    # width and lane count of _layout(n, m, _LANE_BYTES).
+    # width and lane count of _layout(n, m).
     real_walk, real_layout = circring._walk, circring._layout
     walks, layouts = [], []
 
@@ -217,9 +217,9 @@ def test_zm_walks_keep_their_own_slot_width_and_lanes(monkeypatch):
         walks.append((q, layout[0], layout[3]))
         return real_walk(t, n, q, layout, bound)
 
-    def layout_spy(n, q, batch_bytes=0):
+    def layout_spy(n, q):
         layouts.append(q)
-        return real_layout(n, q, batch_bytes)
+        return real_layout(n, q)
 
     monkeypatch.setattr(circring, "_walk", walk)
     monkeypatch.setattr(circring, "_layout", layout_spy)
@@ -231,7 +231,7 @@ def test_zm_walks_keep_their_own_slot_width_and_lanes(monkeypatch):
         geom_sum_indices(n, ms)
         assert [q for q, _, _ in walks] == list(ms)
         for q, w, lanes in walks:
-            own = real_layout(n, q, circring._LANE_BYTES)
+            own = real_layout(n, q)
             assert (w, lanes) == (own[0], own[3]), (n, q)
         widths = sorted({w for _, w, _ in walks})
         assert layouts == [max(q for q, v, _ in walks if v == w) for w in widths]

@@ -11,8 +11,9 @@ BENCHMARK.json the script runs --pairs alternating pairs of
 `python3 bench/run.py --seconds 10 --trace 0`, one per seed from --first-seed
 on: odd pairs run the parent first, even pairs the change first. Each side then
 runs once with --trace 1 on --trace-workload at --first-seed, for one traced
-unit, whose length it reads from that side's bench/run.py. The end-to-end
-metrics, their directions and bounds come from the same file.
+unit, whose length it reads from that side's bench/run.py; of that run only the
+counts are kept (see trace_counts). The end-to-end metrics, their directions
+and bounds come from the same file.
 
 Only the standard library is used, and nothing is run in parallel: the runs
 share the machine with nothing but each other.
@@ -83,6 +84,15 @@ def run_row(side: str, seed: int, first: str, report: dict) -> dict:
 def spread(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def trace_counts(report: dict, per_layer: list) -> dict:
+    """The per-layer metrics of a traced report whose declared unit is count or B,
+    and its correct flag. One traced unit a side repeats its counts but not its
+    times, which swing far more than the untraced pairs do."""
+    counted = {m["name"] for m in per_layer if m["unit"] in ("count", "B")}
+    return {**{k: v["value"] for k, v in report["metrics"].items() if k in counted},
+            "correct": report["correct"]}
 
 
 def summarize(parent: list, change: list, better: str, bound: float) -> dict:
@@ -176,8 +186,7 @@ def main() -> int:
     }
     for side, tree in trees.items():
         report = bench(tree, args.trace_workload, args.first_seed, trace_unit_seconds(tree), 1)
-        result["trace"][side] = {**{k: v["value"] for k, v in report["metrics"].items()},
-                                 "correct": report["correct"]}
+        result["trace"][side] = trace_counts(report, declared["per_layer"])
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
