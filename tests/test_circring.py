@@ -381,9 +381,9 @@ def never_zero(rng, n, q):
     return CirculantElem(n, q, tuple(coeffs))
 
 
-# Moduli and orders whose slot widths, from _layout, reach every width from 1 to
-# 8 bytes, where a slot holds part of its coefficient's 8-byte item, and widths
-# above 8 bytes, where it holds all of it.
+# Moduli and orders whose slot widths, from _layout, reach every width w from 1
+# to 8 bytes, where a slot takes the low w bytes of its coefficient's 8-byte
+# item, and widths above 8 bytes, where it takes all 8.
 POWERS_MODULI = (2, 3, 251, 4093, 65537, 1000003, 16777213, 2**31 - 1, 2**61 - 1, 2**64 - 59)
 POWERS_ORDERS = (1, 2, 5, 16, 33, 64)
 
