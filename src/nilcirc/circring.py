@@ -156,7 +156,7 @@ def _layout(n: int, q: int) -> tuple:
     return (w, s, r, lanes) + _masks(n, w, s, lanes)
 
 
-# Cached: they cost more than a small product; one part of a Z_m block shares them.
+# Cached: they cost more than a small product; repeated mul and power on one ring reuse them.
 @functools.lru_cache(maxsize=64)
 def _masks(n: int, w: int, s: int, lanes: int) -> tuple:
     """Over the lower n slots of each lane: half masks all; of two slots, even the lower, low a quotient."""

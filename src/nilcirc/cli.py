@@ -351,28 +351,34 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    if args.random_trials is not None:
-        return _identities_random(args)
-    # The witness raises InvalidInput where the identities do not apply.
-    v, elem, matches, annihilates = nilpotence.witness_nonvanishing(args.n, args.m, args.p)
-    expanded = nilpotence.index_expansion(v.a, v.b, args.p)
-    results = [("expansion", expanded == v.index)]
-    results.append(("witness", matches and not circring.is_zero(elem)))
-    results.append(("annihilation", annihilates))
-    rng = random.Random(args.seed)
-    frob_ok = all(
-        oracle.frobenius_check(
-            _random_elem(rng, args.n, args.p), _random_elem(rng, args.n, args.p), k
-        )
-        for k in (1, 2)
-        for _ in range(3)
-    )
-    results.append(("frobenius", frob_ok))
-    results.append(("geometric", oracle.geometric_identity_check(args.n, args.m, args.p)))
-
-    for name, ok in results:
-        print(f"{name:<13}{'pass' if ok else 'FAIL'}")
-    return EXIT_OK if all(ok for _, ok in results) else EXIT_DISAGREE
+    n, p, trials, rng = args.n, args.p, args.random_trials, random.Random(args.seed)
+    draw = functools.partial(_random_elem, rng, n, p)  # one element; a check draws a, then b
+    if trials is None:
+        # The witness raises InvalidInput where the identities do not apply.
+        v, elem, matches, annihilates = nilpotence.witness_nonvanishing(n, args.m, p)
+        results = [
+            ("expansion", nilpotence.index_expansion(v.a, v.b, p) == v.index, ""),
+            ("witness", matches and not circring.is_zero(elem), ""),
+            ("annihilation", annihilates, ""),
+            ("frobenius", all(oracle.frobenius_check(draw(), draw(), k)
+                              for k in (1, 2) for _ in range(3)), ""),
+            ("geometric", oracle.geometric_identity_check(n, args.m, p), ""),
+        ]
+    else:
+        if not is_prime(p):
+            raise InvalidPrime(f"{p} is not prime")
+        # Checked before the first draw, which builds n coefficients.
+        _check_int("n", n, 1)
+        check_budget("identities", trials * n * p.bit_length(), nilpotence.IDENTITIES_BUDGET)
+        frob = geo = 0
+        for _ in range(trials):
+            frob += oracle.frobenius_check(draw(), draw(), rng.choice((1, 2)))
+            geo += oracle.geometric_identity_check(n, rng.randrange(1, 2 * n + 1), p)
+        results = [("frobenius", frob == trials, f" ({frob}/{trials})"),
+                   ("geometric", geo == trials, f" ({geo}/{trials})")]
+    for name, ok, note in results:
+        print(f"{name:<13}{'pass' if ok else 'FAIL'}{note}")
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_DISAGREE
 
 
 def _random_elem(rng: random.Random, n: int, q: int) -> circring.CirculantElem:
@@ -386,28 +392,6 @@ def _random_elem(rng: random.Random, n: int, q: int) -> circring.CirculantElem:
             c = draw()
         coeffs.append(c)
     return circring.CirculantElem(n, q, tuple(coeffs))
-
-
-def _identities_random(args) -> int:
-    if not is_prime(args.p):
-        raise InvalidPrime(f"{args.p} is not prime")
-    # Checked before the first draw, which builds n coefficients.
-    _check_int("n", args.n, 1)
-    trials = args.random_trials
-    check_budget("identities", trials * args.n * args.p.bit_length(),
-                 nilpotence.IDENTITIES_BUDGET)
-    rng = random.Random(args.seed)
-    frob_pass = geo_pass = 0
-    for _ in range(trials):
-        a = _random_elem(rng, args.n, args.p)
-        b = _random_elem(rng, args.n, args.p)
-        if oracle.frobenius_check(a, b, rng.choice((1, 2))):
-            frob_pass += 1
-        if oracle.geometric_identity_check(args.n, rng.randrange(1, 2 * args.n + 1), args.p):
-            geo_pass += 1
-    print(f"frobenius    {'pass' if frob_pass == trials else 'FAIL'} ({frob_pass}/{trials})")
-    print(f"geometric    {'pass' if geo_pass == trials else 'FAIL'} ({geo_pass}/{trials})")
-    return EXIT_OK if frob_pass == geo_pass == trials else EXIT_DISAGREE
 
 
 # ---------------------------------------------------------------------------

@@ -53,17 +53,16 @@ def frobenius_check(a: CirculantElem, b: CirculantElem, k: int) -> bool:
             x = circring.power(x, a.modulus)
         return x
 
-    additive = frob(circring.add(a, b)) == circring.add(frob(a), frob(b))
-    multiplicative = frob(circring.mul(a, b)) == circring.mul(frob(a), frob(b))
-    return additive and multiplicative
+    fa, fb = frob(a), frob(b)  # each image once: at most four maps per check
+    return (frob(circring.add(a, b)) == circring.add(fa, fb)
+            and frob(circring.mul(a, b)) == circring.mul(fa, fb))
 
 
 def geometric_identity_check(n: int, m: int, q: int) -> bool:
     """(I + S + ... + S**(m-1)) * (I - S) must equal I - S**m."""
-    t = circring.geom_sum(n, m, q)
-    one = circring.identity(n, q)
-    minus_s = circring.scalar_mul(q - 1, circring.shift_power(n, q, 1))
-    lhs = circring.mul(t, circring.add(one, minus_s))
-    minus_sm = circring.scalar_mul(q - 1, circring.shift_power(n, q, m))
-    rhs = circring.add(one, minus_sm)
-    return lhs == rhs
+
+    def one_minus_shift(k: int) -> CirculantElem:  # I - S**k
+        minus = circring.scalar_mul(q - 1, circring.shift_power(n, q, k))
+        return circring.add(circring.identity(n, q), minus)
+
+    return circring.mul(circring.geom_sum(n, m, q), one_minus_shift(1)) == one_minus_shift(m)

@@ -77,20 +77,6 @@ def test_trace_counts_of_this_checkouts_declared_metrics():
     assert timed <= names and not timed & set(kept)
 
 
-def test_trace_unit_seconds_reads_the_trees_own_run_py(tmp_path):
-    (tmp_path / "bench").mkdir()
-    (tmp_path / "bench" / "run.py").write_text("import os\nSECONDS_PER_TRACE_UNIT = 7\n")
-    assert bench_pairs.trace_unit_seconds(tmp_path) == 7
-    (tmp_path / "bench" / "run.py").write_text("OTHER = 1\n")
-    with pytest.raises(SystemExit):
-        bench_pairs.trace_unit_seconds(tmp_path)
-
-
-def test_trace_unit_seconds_of_this_checkout():
-    root = TOOL.parents[1]
-    assert bench_pairs.trace_unit_seconds(root) > 0
-
-
 def test_src_sha256_covers_paths_and_bytes(tmp_path):
     package = tmp_path / "src" / "nilcirc"
     package.mkdir(parents=True)

@@ -995,6 +995,16 @@ def test_identities_random_mode(capsys):
     assert "geometric    pass (100/100)" in out
 
 
+@pytest.mark.parametrize("check, name", [("geometric_identity_check", "geometric"),
+                                         ("frobenius_check", "frobenius")])
+@pytest.mark.parametrize("mode, note", [(("--m", "2"), ""), (("--random-trials", "3"), " (0/3)")])
+def test_identities_failure_exits_one(capsys, monkeypatch, check, name, mode, note):
+    monkeypatch.setattr(cli.oracle, check, lambda *args: False)
+    code, out, err = run(capsys, "identities", "--n", "8", "--p", "2", *mode)
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "FAIL" in line] == [f"{name:<13}FAIL{note}"]
+
+
 @pytest.mark.parametrize("q", [2, 3, 7, 251, 2**31 - 1, 2**53 + 5, 2**63 + 1, 2**64 - 59,
                                2**64 - 1])
 def test_random_elem_is_uniform_and_seeded(q):

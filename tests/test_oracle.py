@@ -296,6 +296,17 @@ def test_frobenius_exponent_beyond_int_limit():
     assert frobenius_check(a, circring.CirculantElem(3, p, (4, 5, 6)), 2)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_frobenius_maps_each_element_once(monkeypatch, k):
+    # a, b, a + b and a * b each go through x -> x**p k times: 4k powers
+    calls = []
+    real = circring.power
+    monkeypatch.setattr(circring, "power", lambda x, e: calls.append(e) or real(x, e))
+    a = circring.CirculantElem(5, 3, (1, 2, 0, 1, 1))
+    assert frobenius_check(a, circring.shift_power(5, 3, 2), k)
+    assert calls == [3] * (4 * k)
+
+
 def test_frobenius_rejects_composite_modulus():
     with pytest.raises(InvalidPrime):
         frobenius_check(circring.identity(4, 6), circring.identity(4, 6), 1)

@@ -10,10 +10,10 @@ bytecode cache or uncommitted files). For every workload in CHANGE's
 BENCHMARK.json the script runs --pairs alternating pairs of
 `python3 bench/run.py --seconds 10 --trace 0`, one per seed from --first-seed
 on: odd pairs run the parent first, even pairs the change first. Each side then
-runs once with --trace 1 on --trace-workload at --first-seed, for one traced
-unit, whose length it reads from that side's bench/run.py; of that run only the
-counts are kept (see trace_counts). The end-to-end metrics, their directions
-and bounds come from the same file.
+runs once with --trace 1 --seconds 0 on --trace-workload at --first-seed, which
+is one traced unit (bench/run.py runs max(1, seconds // 15) of them); of that
+run only the counts are kept (see trace_counts). The end-to-end metrics, their
+directions and bounds come from the same file.
 
 Only the standard library is used, and nothing is run in parallel: the runs
 share the machine with nothing but each other.
@@ -22,7 +22,6 @@ share the machine with nothing but each other.
 from __future__ import annotations
 
 import argparse
-import ast
 import hashlib
 import json
 import statistics
@@ -32,17 +31,7 @@ from pathlib import Path
 
 QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
 RUN_SECONDS = 10  # of every --trace 0 run, on both sides
-
-
-def trace_unit_seconds(tree: Path) -> int:
-    """SECONDS_PER_TRACE_UNIT of tree/bench/run.py: the run length of one traced unit."""
-    module = ast.parse((tree / "bench" / "run.py").read_text())
-    for node in module.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "SECONDS_PER_TRACE_UNIT" for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    sys.exit(f"{tree}/bench/run.py sets no SECONDS_PER_TRACE_UNIT")
+TRACE_SECONDS = 0  # of the --trace 1 run: bench/run.py runs at least one unit
 
 
 def src_sha256(tree: Path) -> str:
@@ -179,13 +168,12 @@ def main() -> int:
         "loadavg_1m_max": max(loads),
         "overloaded_runs": sum(r["overloaded"] for r in all_runs),
     }
-    trace_seconds = trace_unit_seconds(trees["change"])
     result["trace"] = {
         "command": (f"python3 bench/run.py --workload {args.trace_workload}"
-                    f" --seed {args.first_seed} --seconds {trace_seconds} --trace 1"),
+                    f" --seed {args.first_seed} --seconds {TRACE_SECONDS} --trace 1"),
     }
     for side, tree in trees.items():
-        report = bench(tree, args.trace_workload, args.first_seed, trace_unit_seconds(tree), 1)
+        report = bench(tree, args.trace_workload, args.first_seed, TRACE_SECONDS, 1)
         result["trace"][side] = trace_counts(report, declared["per_layer"])
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
