@@ -18,8 +18,8 @@ import sys
 from contextlib import nullcontext
 
 from . import circring, congruence, nilpotence, oracle
-from .errors import InputError, InvalidPrime
-from .numutil import _check_int, _valuation, check_budget, is_prime
+from .errors import InputError
+from .numutil import _check_int, _check_prime, _valuation, check_budget
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -114,43 +114,36 @@ def _decide(p, n: int, n_split, block: range, m_split) -> dict:
             if (v := nilpotence.zm_clause(n, block[i], n_split, m_split(i))) is not no}
 
 
-# The oracle workers are top level so a process pool can pickle them.
+def _agree(p, no, n: int, block: range, vs: dict, found: list) -> dict:
+    """(verdict, oracle index, agree) by offset for the cells of row n and block
+    whose verdict is not no or whose oracle index found[i] is not None.
 
-
-def _oracle_block(p, piece: tuple) -> tuple:
-    """The (n, block, verdicts) piece as (n, block, verdicts, keys): keys holds
-    by offset each cell's (verdict, oracle index, agree) but the default.
-
-    Over Z_p a cell agrees when the oracle's index is the verdict's. Over Z_m
-    the verdicts must agree, and the index of a nilpotent cell must lie in
-    nilpotence.zm_index_bracket, which is Theorem 1 at each prime of m.
+    A cell agrees when both sides find it not nilpotent, or both find it
+    nilpotent and the oracle's index lies in the closed form's bracket: (v, v)
+    over Z_p, v the index reported; over Z_m nilpotence.zm_index_bracket,
+    which is Theorem 1 at each prime of m.
     """
-    n, block, vs = piece
-    no = None if p is not None else nilpotence.ZmClause.NOT_NILPOTENT
     keys = {}
-    for i, k in enumerate(oracle.geom_sum_indices(n, block, p)):
+    for i, k in enumerate(found):
         if (v := vs.get(i, no)) is not no or k is not None:
-            if p is not None:
-                keys[i] = v, k, k == v
-            else:
-                bracket = v is not no and k is not None and nilpotence.zm_index_bracket(n, block[i])
-                keys[i] = v, k, bool(bracket) and bracket[0] <= k <= bracket[1]
-    return n, block, vs, keys
+            bracket = v is not no and k is not None and (
+                (v, v) if p is not None else nilpotence.zm_index_bracket(n, block[i]))
+            keys[i] = v, k, bool(bracket) and bracket[0] <= k <= bracket[1]
+    return keys
 
 
 def _pooled(pool, p, blocks, window: int):
-    """The oracle's blocks in order, one task per block in the pool.
-
-    At most window blocks are in flight, so memory stays bounded by the window
-    whatever the grid size.
-    """
+    """(n, block, verdicts, oracle indices) for each block in order, by one pool
+    task per block. At most window blocks are in flight, so memory stays bounded
+    by the window whatever the grid size."""
     pending = collections.deque()
-    for piece in blocks:
+    for n, block, vs in blocks:
         if len(pending) == window:
-            yield pending.popleft().result()
-        pending.append(pool.submit(_oracle_block, p, piece))
-    while pending:
-        yield pending.popleft().result()
+            *piece, future = pending.popleft()
+            yield *piece, future.result()
+        pending.append((n, block, vs, pool.submit(oracle.geom_sum_indices, n, block, p)))
+    for *piece, future in pending:
+        yield *piece, future.result()
 
 
 def _process_pool(jobs: int):
@@ -225,10 +218,8 @@ def cmd_scan(args) -> int:
     if args.zm:
         p, no = None, nilpotence.ZmClause.NOT_NILPOTENT
     else:
-        p = parameters["p"] = args.p
+        p = parameters["p"] = _check_prime(args.p)
         no = None
-        if not is_prime(p):
-            raise InvalidPrime(f"{p} is not prime")
     ms = range(m_lo, args.m_max + 1)
     blocks = _blocks(p, args.n_max, ms)
     m_count = args.m_max - m_lo + 1
@@ -250,12 +241,13 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     # Each block is tallied and written as it is decided; nothing holds the grid.
     with sink as out, _process_pool(jobs) if jobs > 1 else nullcontext() as pool:
-        # (n, block, verdicts, keys): keys holds by offset each key but the default,
-        # a cell's key being its verdict, joined on a verified scan by the oracle's.
+        # (n, block, verdicts, oracle indices): the indices are found in the pool
+        # if there is one, and checked against the verdicts here, by _agree.
         if not args.verify:
-            pieces = ((n, block, vs, vs) for n, block, vs in blocks)
+            pieces = ((n, block, vs, None) for n, block, vs in blocks)
         elif pool is None:
-            pieces = map(functools.partial(_oracle_block, p), blocks)
+            pieces = ((n, block, vs, oracle.geom_sum_indices(n, block, p))
+                      for n, block, vs in blocks)
         else:
             pieces = _pooled(pool, p, blocks, 2 * jobs)
         columns = _CSV_COLUMNS[mode]
@@ -274,7 +266,8 @@ def cmd_scan(args) -> int:
             cell = "%d" + _tail((no, None, True) if args.verify else no, args.format, columns, no)
             first = list(map(cell.__mod__, ms[:_BLOCK]))
         lead = ""
-        for n, block, vs, keys in pieces:
+        for n, block, vs, found in pieces:
+            keys = _agree(p, no, n, block, vs, found) if args.verify else vs
             summary["nilpotent"] += len(vs)
             if args.verify:
                 summary["disagreements"] += [{"n": n, "m": block[i]}
@@ -365,8 +358,7 @@ def cmd_identities(args) -> int:
             ("geometric", oracle.geometric_identity_check(n, args.m, p), ""),
         ]
     else:
-        if not is_prime(p):
-            raise InvalidPrime(f"{p} is not prime")
+        _check_prime(p)
         # Checked before the first draw, which builds n coefficients.
         _check_int("n", n, 1)
         check_budget("identities", trials * n * p.bit_length(), nilpotence.IDENTITIES_BUDGET)

@@ -34,6 +34,13 @@ def _check_int(name: str, value: int, lo: int) -> int:
     return value
 
 
+def _check_prime(p: int) -> int:
+    """p, if it is a prime in [2, INT_LIMIT]; the one prime check of the library."""
+    if not is_prime(p):
+        raise InvalidPrime(f"{p} is not prime")
+    return p
+
+
 def check_budget(what: str, work: int, budget: int) -> None:
     """Raise BudgetExceeded if work exceeds budget, before any of it is done."""
     if work > budget:
@@ -69,8 +76,7 @@ def is_prime(n: int) -> bool:
 
 def p_adic_valuation(x: int, p: int) -> tuple[int, int]:
     """(e, x / p**e) for the largest e with p**e | x, like divmod."""
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
+    _check_prime(p)
     return _valuation(_check_int("x", x, 1), p)
 
 

@@ -14,8 +14,7 @@ from typing import Optional
 
 from . import circring
 from .circring import CirculantElem
-from .errors import InvalidPrime
-from .numutil import _check_int, is_prime
+from .numutil import _check_int, _check_prime
 
 
 def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
@@ -44,8 +43,7 @@ def geom_sum_indices(n: int, ms: range, q: Optional[int] = None) -> list[Optiona
 
 def frobenius_check(a: CirculantElem, b: CirculantElem, k: int) -> bool:
     """x -> x**(p**k) must be a ring homomorphism in characteristic p."""
-    if not is_prime(a.modulus):
-        raise InvalidPrime(f"modulus {a.modulus} is not prime")
+    _check_prime(a.modulus)
     _check_int("k", k, 0)
 
     def frob(x: CirculantElem) -> CirculantElem:

@@ -191,17 +191,40 @@ VERIFY_48 = {
 }
 
 
+def _digests(name: str) -> dict:
+    """{file: SHA-256} from a golden file in sha256sum's format."""
+    return dict(reversed(line.split("  ")) for line in (GOLDEN / name).read_text().splitlines())
+
+
 def test_scan_verify_48x48_digests(capsys):
     # At the bound n <= 48 the oracle's products take one to eight lanes over
     # each ring: every lane count that a walk of such a row reaches.
-    digests = dict(reversed(line.split("  ")) for line in
-                   (GOLDEN / "verify_48x48.sha256").read_text().splitlines())
+    digests = _digests("verify_48x48.sha256")
     assert set(digests) == set(VERIFY_48)
     for name, ring in VERIFY_48.items():
         code, out, _ = run(capsys, "scan", *ring, "--n-max", "48", "--m-max", "48",
                            "--verify", "--format", "csv", "--jobs", "1")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digests[name], name
+
+
+ROWS_1100 = {
+    "rows_p3.csv": ("--p", "3", "--m-max", "40"),
+    "rows_zm.csv": ("--zm", "--m-max", "40"),
+    "rows_p2.csv": ("--p", "2", "--m-max", "2100"),
+}
+
+
+@pytest.mark.parametrize("name", ROWS_1100)
+def test_scan_rows_1100_digests(capsys, name):
+    # A row n inside the first block of m takes its split from that block, and
+    # only rows past it (n > 1024 here) split n themselves. The Z_2 grid's m
+    # axis also crosses two block edges.
+    digests = _digests("rows_1100.sha256")
+    assert set(digests) == set(ROWS_1100)
+    code, out, _ = run(capsys, "scan", *ROWS_1100[name], "--n-max", "1100", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[name]
 
 
 @pytest.mark.parametrize("grid", [
@@ -317,9 +340,10 @@ def test_scan_blocks_match_cell_by_cell_reference(p, n_max, m_max, fmt, verify, 
     tasks = []
 
     class RecordingPool(InlinePool):
-        def submit(self, fn, p, piece):
-            tasks.append(piece[:2])
-            return super().submit(fn, p, piece)
+        def submit(self, fn, *args):
+            assert fn is oracle.geom_sum_indices  # the oracle alone: no verdict goes in
+            tasks.append(args)
+            return super().submit(fn, *args)
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
@@ -327,10 +351,10 @@ def test_scan_blocks_match_cell_by_cell_reference(p, n_max, m_max, fmt, verify, 
         patch.setattr(cli, "_process_pool", RecordingPool)
         patch.setattr(os, "cpu_count", lambda: 2)
         assert main(argv) == 0
-    # A pooled verify sends one task per block, in row order.
+    # A pooled verify sends one task (n, block, p) per block, in row order.
     ms = range(1 if p else 2, m_max + 1)
     pooled = verify and jobs == 2 and n_max * len(ms) > 1
-    assert tasks == ([(n, ms[lo:lo + block]) for n in range(1, n_max + 1)
+    assert tasks == ([(n, ms[lo:lo + block], p) for n in range(1, n_max + 1)
                       for lo in range(0, len(ms), block)] if pooled else [])
     # Line by line: pytest's diff of two long texts takes minutes.
     got = out.getvalue().split("\n")
@@ -555,8 +579,8 @@ def test_scan_json_round_trips(capsys):
 
 
 def test_scan_parallel_matches_serial(capsys):
-    # only --verify scans use the process pool; over Z_m the workers return
-    # clauses unpickled in the parent, whose cached texts are keyed by them
+    # only --verify scans use the process pool, whose workers return only the
+    # oracle's indices; the parent checks them against its own verdicts
     for mode in (("--p", "2"), ("--zm",)):
         grid = ("scan", *mode, "--n-max", "8", "--m-max", "8", "--verify", "--format", "csv")
         code1, out1, _ = run(capsys, *grid, "--jobs", "1")
@@ -567,7 +591,7 @@ def test_scan_parallel_matches_serial(capsys):
 
 def test_scan_parallel_blocks_cut_rows(capsys, monkeypatch):
     # Three blocks per row, each its own task in a real pool. The workers run
-    # only _oracle_block, which does not read _BLOCK.
+    # only oracle.geom_sum_indices, which does not read _BLOCK.
     monkeypatch.setattr(cli, "_BLOCK", 3)
     grid = ("scan", "--zm", "--n-max", "6", "--m-max", "10", "--verify", "--format", "csv")
     serial = run(capsys, *grid, "--jobs", "1")
@@ -601,18 +625,9 @@ def test_scan_jobs_capped_at_cpus_and_cells(capsys, monkeypatch):
     # Never starts real workers: the pool records its size and maps in-process.
     started = []
 
-    class RecordingPool:
+    class RecordingPool(InlinePool):
         def __init__(self, workers):
             started.append(workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            return completed(fn(*args))
 
     monkeypatch.setattr(cli, "_process_pool", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -642,16 +657,7 @@ def test_scan_pool_keeps_a_bounded_window(capsys, monkeypatch):
             in_flight[0] -= 1
             return super().result(timeout)
 
-    class RecordingPool:
-        def __init__(self, workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
+    class RecordingPool(InlinePool):
         def submit(self, fn, *args):
             in_flight[0] += 1
             outstanding.append(in_flight[0])
@@ -757,9 +763,9 @@ def test_scan_disagreement_exits_one(capsys, monkeypatch):
     assert "DISAGREE" in out
 
 
-def _scan_zm_6x8_patched(capsys, monkeypatch, cell, index):
-    """The human and CSV reports of a verified Z_m scan, n <= 6, m <= 8, whose
-    oracle reports index(k) at cell, k the true index there; both exit 1."""
+def _scan_6x8_patched(capsys, monkeypatch, ring, cell, index):
+    """The human and CSV reports of a verified scan over ring, n <= 6, m <= 8,
+    whose oracle reports index(k) at cell, k the true index there; both exit 1."""
     real = cli.oracle.geom_sum_indices
 
     def patched(n, ms, q=None):
@@ -768,7 +774,7 @@ def _scan_zm_6x8_patched(capsys, monkeypatch, cell, index):
     monkeypatch.setattr(cli.oracle, "geom_sum_indices", patched)
     reports = []
     for fmt in ("human", "csv"):
-        code, out, _ = run(capsys, "scan", "--zm", "--n-max", "6", "--m-max", "8",
+        code, out, _ = run(capsys, "scan", *ring, "--n-max", "6", "--m-max", "8",
                            "--verify", "--jobs", "1", "--format", fmt)
         assert code == 1
         reports.append(out)
@@ -779,7 +785,7 @@ def test_scan_zm_index_outside_bracket_exits_one(capsys, monkeypatch):
     # T(6, 6) is nilpotent over Z_6 with index 2, as over Z_2 and Z_3; 6 is
     # squarefree, so an oracle index of 3 agrees on the verdict but leaves the
     # bracket [max k_p, max e*k_p] = [2, 2] that Theorem 1 gives at each prime.
-    human, csv = _scan_zm_6x8_patched(capsys, monkeypatch, (6, 6), lambda k: k + 1)
+    human, csv = _scan_6x8_patched(capsys, monkeypatch, ("--zm",), (6, 6), lambda k: k + 1)
     assert "agreements 41, disagreements 1" in human
     assert human.splitlines()[-1] == "DISAGREE at n=6 m=6"
     assert "6,6,true,multi_prime_divides,3,false" in csv.splitlines()
@@ -793,8 +799,23 @@ def test_scan_zm_index_outside_bracket_exits_one(capsys, monkeypatch):
     ((6, 6), None, "6,6,true,multi_prime_divides,,false"),
 ])
 def test_scan_zm_oracle_verdict_disagreement_exits_one(capsys, monkeypatch, cell, index, line):
-    human, csv = _scan_zm_6x8_patched(capsys, monkeypatch, cell, lambda k: index)
+    human, csv = _scan_6x8_patched(capsys, monkeypatch, ("--zm",), cell, lambda k: index)
     assert "agreements 41, disagreements 1" in human
+    assert human.splitlines()[-1] == "DISAGREE at n=%d m=%d" % cell
+    assert line in csv.splitlines()
+
+
+@pytest.mark.parametrize("cell, index, line", [
+    # T(4, 2) is nilpotent over Z_2 with index ceil(2**2 / (2 - 1)) = 4, the
+    # value printed: an oracle index of 5 disagrees.
+    ((4, 2), 5, "4,2,true,4,false"),
+    # T(3, 2) is not nilpotent over Z_2 (n* = 3 does not divide m* = 1): an
+    # oracle index there disagrees on the verdict itself.
+    ((3, 2), 2, "3,2,false,,false"),
+])
+def test_scan_zp_oracle_index_disagreement_exits_one(capsys, monkeypatch, cell, index, line):
+    human, csv = _scan_6x8_patched(capsys, monkeypatch, ("--p", "2"), cell, lambda k: index)
+    assert "agreements 47, disagreements 1" in human
     assert human.splitlines()[-1] == "DISAGREE at n=%d m=%d" % cell
     assert line in csv.splitlines()
 
@@ -912,8 +933,8 @@ def test_lemma1_all_targets_streams(monkeypatch):
     ("lemma1", "--d", "3", "--m-star", "2", "--n-star", "1", "--q", "2", "--enumerate",
      "--json"),
     ("lemma1", "--d", "2", "--m-star", "1", "--n-star", "1", "--q", "8", "--json"),  # batches
-    ("scan", "--p", "2", "--n-max", "4", "--m-max", "4", "--format", "json"),  # one batch
-    # 65 cells or more: several batches, in each scan mode
+    # Scans write one block per row: several rows, in each scan mode.
+    ("scan", "--p", "2", "--n-max", "4", "--m-max", "4", "--format", "json"),
     ("scan", "--p", "3", "--n-max", "9", "--m-max", "9", "--format", "json"),
     ("scan", "--p", "2", "--n-max", "9", "--m-max", "8", "--verify", "--format", "json",
      "--jobs", "1"),
