@@ -31,8 +31,8 @@ EXIT_BAD_INPUT = 3
 # at most this many consecutive values of m in one step, and a pooled verify
 # sends a worker one block per task. The first block's splits and texts of m
 # are kept for the later rows, and serve as the splits of the rows n in its
-# range; past it, a block's candidate cells are split again in every row, so a
-# scan's memory stays bounded however long the m axis.
+# range; past it, a Z_m block's candidate cells are split again in every row, so
+# a scan's memory stays bounded however long the m axis.
 _BLOCK = 2**10
 
 # Report texts that lemma1 joins and writes at once: large enough that a write
@@ -87,22 +87,21 @@ def _decide(p, n: int, n_split, block: range, m_split) -> dict:
       unless b >= 1 and n_star | m_star, so unless p * n_star | m, because
       gcd(p, n_star) = 1. The candidates are the multiples of p * n_star.
       Every candidate is nilpotent: p | m gives b >= 1, and n_star | m with
-      gcd(n_star, p) = 1 gives n_star | m_star. Its index
-      ceil(p**a / (p**b - 1)) then depends on the row and b alone, so zp_index
-      is called once per distinct b in the block and its index reused.
+      gcd(n_star, p) = 1 gives n_star | m_star. Its index ceil(p**a / (p**b - 1))
+      then depends on the row and b alone, and the cells of valuation b or more
+      are the multiples of p**b * n_star: b = 1, 2, ... fills those with the
+      index at m = p**b * n_star, a later b overwriting an earlier one.
     - Over Z_m, zm_clause is NOT_NILPOTENT unless n | m, or m is a power of a
       prime q and n is 1 or a power of q. The candidates are the multiples of
       n and, if n is a power of q, the powers of q below n (the rest divide by n).
     """
     if p is not None:
         a, n_star = n_split
-        step = p * n_star
-        index, vs = {}, {}  # index: b -> Theorem 1's index in this row and block
-        for i in range(-block.start % step, len(block), step):
-            b, m_star = m_split(i)
-            if b not in index:
-                index[b] = nilpotence.zp_index(a, n_star, b, m_star, p)
-            vs[i] = index[b]
+        vs, b = {}, 1
+        while (step := p**b * n_star) <= block[-1]:
+            vs.update(dict.fromkeys(range(-block.start % step, len(block), step),
+                                    nilpotence.zp_index(a, n_star, b, n_star, p)))
+            b += 1
         return vs
     offsets = range(-block.start % n, len(block), n)
     if len(n_split) == 1 and block.start < n:
@@ -241,12 +240,9 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     # Each block is tallied and written as it is decided; nothing holds the grid.
     with sink as out, _process_pool(jobs) if jobs > 1 else nullcontext() as pool:
-        # (n, block, verdicts, oracle indices): the indices are found in the pool
-        # if there is one, and checked against the verdicts here, by _agree.
-        if not args.verify:
-            pieces = ((n, block, vs, None) for n, block, vs in blocks)
-        elif pool is None:
-            pieces = ((n, block, vs, oracle.geom_sum_indices(n, block, p))
+        # (n, block, verdicts, oracle indices): the indices found in the pool if any.
+        if pool is None:
+            pieces = ((n, block, vs, oracle.geom_sum_indices(n, block, p) if args.verify else None)
                       for n, block, vs in blocks)
         else:
             pieces = _pooled(pool, p, blocks, 2 * jobs)

@@ -208,6 +208,18 @@ def test_scan_verify_48x48_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digests[name], name
 
 
+def test_scan_zm_30x2100_pooled_digest(capsys, monkeypatch):
+    # Over Z_m each block is walked in parts of one slot width, each part in the
+    # layout of its largest modulus. The digest is of the serial output, and a
+    # real pool of two workers runs on any host.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    digests = _digests("verify_zm_30x2100.sha256")
+    code, out, _ = run(capsys, "scan", "--zm", "--n-max", "30", "--m-max", "2100",
+                       "--verify", "--format", "csv", "--jobs", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests["verify_zm_30x2100.csv"]
+
+
 ROWS_1100 = {
     "rows_p3.csv": ("--p", "3", "--m-max", "40"),
     "rows_zm.csv": ("--zm", "--m-max", "40"),
@@ -382,8 +394,15 @@ def _row_blocks(draw):
 @given(p=st.sampled_from([2, 3, 5, 7, 2**61 - 1, None]), row_block=_row_blocks())
 def test_decide_keeps_every_nilpotent_cell(p, row_block):
     # The candidate filter against every cell decided by the verdict step itself.
+    # Over Z_p the cells of each valuation of m are known without splitting m.
     n, block = row_block
     split = _split(p)
+
+    def m_split(i):
+        if p is not None:
+            raise AssertionError("a Z_p row split m")
+        return split(block[i])
+
     if p is None:
         dense = {i: v for i, m in enumerate(block)
                  if (v := nilpotence.zm_clause(n, m, split(n), split(m)))
@@ -391,7 +410,7 @@ def test_decide_keeps_every_nilpotent_cell(p, row_block):
     else:
         dense = {i: v for i, m in enumerate(block)
                  if (v := nilpotence.zp_index(*split(n), *split(m), p)) is not None}
-    assert cli._decide(p, n, split(n), block, lambda i: split(block[i])) == dense
+    assert cli._decide(p, n, split(n), block, m_split) == dense
 
 
 def test_decide_zm_keeps_powers_of_the_prime_that_n_does_not_divide():
@@ -578,11 +597,16 @@ def test_scan_json_round_trips(capsys):
     assert doc["summary"]["nilpotent"] == sum(1 for c in doc["cells"] if c["nilpotent"])
 
 
-def test_scan_parallel_matches_serial(capsys):
+def test_scan_parallel_matches_serial(capsys, monkeypatch):
     # only --verify scans use the process pool, whose workers return only the
-    # oracle's indices; the parent checks them against its own verdicts
-    for mode in (("--p", "2"), ("--zm",)):
-        grid = ("scan", *mode, "--n-max", "8", "--m-max", "8", "--verify", "--format", "csv")
+    # oracle's indices; the parent checks them against its own verdicts. A real
+    # pool of two workers runs on any host. At m_max = 2100 the m axis crosses
+    # two block edges, where only candidate cells are decided; over Z_3, T(n, m)
+    # repeats with period 3n in m, and serial and pooled blocks cut the axis alike.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for mode, m_max in ((("--p", "2"), "8"), (("--zm",), "8"),
+                        (("--p", "2"), "2100"), (("--p", "3"), "2100")):
+        grid = ("scan", *mode, "--n-max", "8", "--m-max", m_max, "--verify", "--format", "csv")
         code1, out1, _ = run(capsys, *grid, "--jobs", "1")
         code2, out2, _ = run(capsys, *grid, "--jobs", "2")
         assert code1 == code2 == 0
@@ -941,6 +965,9 @@ def test_lemma1_all_targets_streams(monkeypatch):
     ("scan", "--zm", "--n-max", "9", "--m-max", "9", "--format", "json"),
     ("scan", "--zm", "--n-max", "9", "--m-max", "9", "--verify", "--format", "json",
      "--jobs", "1"),
+    # 1024 reports with --enumerate: four writes of _LINES reports
+    ("lemma1", "--d", "4", "--m-star", "5", "--n-star", "1", "--q", "5", "--json",
+     "--enumerate"),
 ])
 def test_lemma1_streamed_json_matches_json_dumps(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -998,6 +1025,23 @@ def test_identities_point_decides_once(capsys, monkeypatch):
     assert code == 0
     # one T for the witness and annihilation, one for the oracle's geometric check
     assert calls == {"decide_zp": 1, "geom_sum": 2}
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("--n", "243", "--m", "6", "--p", "3"),
+     "".join(f"{name:<13}pass\n" for name in
+             ("expansion", "witness", "annihilation", "frobenius", "geometric"))),
+    # a prime above 2**53, whose coefficients are drawn by getrandbits with rejection
+    (("--n", "16", "--p", str(2**61 - 1), "--random-trials", "2", "--seed", "3"),
+     "frobenius    pass (2/2)\ngeometric    pass (2/2)\n"),
+    # slot widths 6 and 7 bytes: each slot takes part of a coefficient's 8-byte item
+    (("--n", "16", "--p", "1000003", "--random-trials", "2", "--seed", "3"),
+     "frobenius    pass (2/2)\ngeometric    pass (2/2)\n"),
+    (("--n", "16", "--p", "16777213", "--random-trials", "2", "--seed", "3"),
+     "frobenius    pass (2/2)\ngeometric    pass (2/2)\n"),
+])
+def test_identities_output_exact(capsys, argv, text):
+    assert run(capsys, "identities", *argv) == (0, text, "")
 
 
 @pytest.mark.parametrize("mode", [("--m", "2"), ("--random-trials", "1")])
