@@ -94,6 +94,8 @@ def _decide(p, n: int, n_split, block: range, m_split) -> dict:
     - Over Z_m, zm_clause is NOT_NILPOTENT unless n | m, or m is a power of a
       prime q and n is 1 or a power of q. The candidates are the multiples of
       n and, if n is a power of q, the powers of q below n (the rest divide by n).
+      Each is nilpotent: one that is a power of q has n = 1 or a power of q
+      (same_prime_powers), and any other is a multiple of n with two primes.
     """
     if p is not None:
         a, n_star = n_split
@@ -108,9 +110,7 @@ def _decide(p, n: int, n_split, block: range, m_split) -> dict:
         powers = map(n_split[0].__pow__, range(1, n.bit_length()))
         offsets = itertools.chain(offsets, (x - block.start for x in powers
                                             if x < n and x in block))
-    no = nilpotence.ZmClause.NOT_NILPOTENT
-    return {i: v for i in offsets
-            if (v := nilpotence.zm_clause(n, block[i], n_split, m_split(i))) is not no}
+    return {i: nilpotence.zm_clause(n, block[i], n_split, m_split(i)) for i in offsets}
 
 
 def _agree(p, no, n: int, block: range, vs: dict, found: list) -> dict:
@@ -147,7 +147,22 @@ def _pooled(pool, p, blocks, window: int):
 
 def _process_pool(jobs: int):
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pooled scans only
-    return ProcessPoolExecutor(jobs)
+    return ProcessPoolExecutor(jobs, initializer=_watch_parent)
+
+
+def _watch_parent() -> None:
+    """Pool initializer: end this worker once the scan that started it is gone.
+    A worker blocked on the call queue, whose write end it holds, outlives a scan
+    ended by SIGPIPE or SIGTERM. The parent's sentinel is a pipe made before the
+    worker starts, so a scan gone by then is seen too; under fork a worker forked
+    later holds it as well, so that one ends first."""
+    import multiprocessing
+    import threading
+
+    def watch():
+        multiprocessing.parent_process().join()
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +244,9 @@ def cmd_scan(args) -> int:
                      nilpotence.VERIFY_BUDGET)
     summary = {"cells": total, "nilpotent": 0, "disagreements": []}
     # Only the oracle is worth a process pool (a closed-form cell costs less than
-    # shipping it to a worker and back), and never more workers than CPUs or cells.
+    # shipping it to a worker and back), and never more workers than CPUs or blocks.
     cpu = os.cpu_count() or 1
-    jobs = min(args.jobs or cpu, cpu, total) if args.verify else 1
+    jobs = min(args.jobs or cpu, cpu, args.n_max * -(-m_count // _BLOCK)) if args.verify else 1
 
     try:  # opened last, so a rejected input leaves an existing file untouched
         sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)

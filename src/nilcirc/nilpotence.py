@@ -107,7 +107,7 @@ def decide_zp(n: int, m: int, p: int) -> ZpVerdict:
     _check_int("n", n, 1)
     _check_int("m", m, 1)
     a, n_star = p_adic_valuation(n, p)  # also validates p
-    b, m_star = p_adic_valuation(m, p)
+    b, m_star = _valuation(m, p)
     index = zp_index(a, n_star, b, m_star, p)
     return ZpVerdict(n, m, p, a, b, n_star, m_star, index is not None, index)
 

@@ -2,7 +2,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilcirc import circring
@@ -164,38 +164,26 @@ def test_power_matches_iterated_multiplication(pair, k):
     assert power(a, k) == expected
 
 
-def counting(monkeypatch, *names):
-    """Replace each named circring function by a wrapper that counts its calls."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, name=name, real=getattr(circring, name)):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(circring, name, counted)
-    return calls
-
-
-def test_power_never_multiplies_by_the_identity(monkeypatch):
+def test_power_never_multiplies_by_the_identity(spy):
     # k >= 1 costs bit_length - 1 squarings and popcount - 1 products by a,
     # each one _reduce of the packed product
     a = geom_sum(6, 4, 7)
     expected = identity(6, 7)
     for k in range(17):
-        calls = counting(monkeypatch, "_reduce")
+        reduces = spy(circring, "_reduce")
         assert power(a, k) == expected, k
-        assert calls["_reduce"] == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
-        monkeypatch.undo()
+        assert len(reduces) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
         expected = mul(expected, a)
 
 
 @pytest.mark.parametrize("q", (7, 2**64 - 59))
-def test_power_packs_once_and_unpacks_once(monkeypatch, q):
+def test_power_packs_once_and_unpacks_once(spy, q):
     a = CirculantElem(5, q, (1, q - 1, 0, 3, q - 2))
     for k in range(1, 17):
-        calls = counting(monkeypatch, "_pack", "_unpack", "mul")
+        calls = {name: spy(circring, name) for name in ("_pack", "_unpack", "mul")}
         power(a, k)
-        assert calls == {"_pack": 1, "_unpack": 1, "mul": 0}, k
-        monkeypatch.undo()
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_pack": 1, "_unpack": 1, "mul": 0}, k
 
 
 def test_is_zero_examples():
@@ -351,25 +339,19 @@ def unpacked(acc, a):
     return [(acc >> (bits * j)) & ((1 << bits) - 1) for j in range(n)]
 
 
-def walk(a, bound):
+def walk(spy, a, bound):
     """_first_zero_power(a, bound), the lanes of each of its products, and the
     powers a**2, a**3, ... that those lanes hold, in the order computed.
 
     A batch holds no zero lane (the walk stops at one), so a product's top lane
     is nonzero and its bit length gives its lanes.
     """
+    reduces = spy(circring, "_reduce")
+    found = _first_zero_power(a, bound)
     bits = 16 * a.order * _layout(a.order, a.modulus)[0]
-    lanes, computed = [], []
-
-    def recorded(prod, *args):
-        out = _reduce(prod, *args)
-        lanes.append(-(-prod.bit_length() // bits))
-        computed.extend(unpacked(out >> (bits * i), a) for i in range(lanes[-1]))
-        return out
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(circring, "_reduce", recorded)
-        found = _first_zero_power(a, bound)
+    lanes = [-(-prod.bit_length() // bits) for (prod, *_), _ in reduces]
+    computed = [unpacked(out >> (bits * i), a)
+                for (_, out), k in zip(reduces, lanes) for i in range(k)]
     return found, lanes, computed
 
 
@@ -394,7 +376,7 @@ def test_powers_moduli_reach_every_slot_width():
 
 
 @pytest.mark.parametrize("q", POWERS_MODULI)
-def test_powers_yields_every_power(monkeypatch, q):
+def test_powers_yields_every_power(monkeypatch, spy, q):
     # At every slot width: the default lane cap, and a cap of four lanes, whose
     # 13 powers take one lane, then two, then four twice, then a last batch cut
     # to one lane.
@@ -404,7 +386,7 @@ def test_powers_yields_every_power(monkeypatch, q):
         expected = [power(a, k).coeffs for k in range(2, 14)]
         for cap in (circring._LANE_BYTES, 4 * 2 * n * _layout(n, q)[0]):
             monkeypatch.setattr(circring, "_LANE_BYTES", cap)
-            found, lanes, computed = walk(a, 13)
+            found, lanes, computed = walk(spy, a, 13)
             assert found is None and [tuple(c) for c in computed] == expected
         assert lanes == [1, 2, 4, 4, 1]
 
@@ -415,10 +397,10 @@ def test_powers_yields_every_power(monkeypatch, q):
     (64, 2, [1, 2] + [2] * 30 + [1]),  # 128-byte lanes: 2 at most
     (64, 3, [1] * 64),  # 256-byte lanes: one at a time, as one multiply per power
 ])
-def test_lane_phases_at_the_default_cap(n, q, phases):
+def test_lane_phases_at_the_default_cap(spy, n, q, phases):
     assert circring._LANE_BYTES == 256  # the phases are worked out for this cap
     a = never_zero(random.Random(n), n, q)
-    found, lanes, computed = walk(a, sum(phases) + 1)
+    found, lanes, computed = walk(spy, a, sum(phases) + 1)
     assert found is None and lanes == phases
     assert [tuple(c) for c in computed] == [power(a, k).coeffs for k in range(2, len(computed) + 2)]
 
@@ -433,9 +415,10 @@ def walk_start(draw):
 
 
 @given(walk_start(), st.integers(1, 40))
-@settings(max_examples=60, deadline=None)
-def test_powers_match_power(a, bound):
-    found, _, computed = walk(a, bound)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_powers_match_power(spy, a, bound):
+    found, _, computed = walk(spy, a, bound)
     powers = [list(power(a, k).coeffs) for k in range(2, len(computed) + 2)]
     assert computed == powers
     zeros = [k for k, c in enumerate([a.coeffs] + powers, 1) if not any(c) and k <= bound]
@@ -447,11 +430,11 @@ def test_powers_match_power(a, bound):
 # first product exactly n*(q-1)**2; odd n leaves the top even slot unpaired.
 @pytest.mark.parametrize("q", (2, 3, 2**32 - 5, 2**64 - 59, 2**64 - 1))
 @pytest.mark.parametrize("n", (1, 2, 3, 47, 48))
-def test_reduce_at_the_slot_bound_matches_dense(q, n):
+def test_reduce_at_the_slot_bound_matches_dense(spy, q, n):
     top = CirculantElem(n, q, (q - 1,) * n)
     dense = to_dense(top)
     assert to_dense(mul(top, top)) == _dense_matmul(dense, dense, q)
-    found, _, computed = walk(top, 7)
+    found, _, computed = walk(spy, top, 7)
     row = _dense_matmul([dense[0]], dense, q)
     for acc in computed:
         assert acc == row[0]

@@ -6,15 +6,11 @@ import json
 import os
 import random
 import signal
-import subprocess
-import sys
 import time
-import tracemalloc
-from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilcirc import circring, cli, nilpotence, numutil, oracle
@@ -97,19 +93,12 @@ def test_decide_zm_json_includes_per_prime(capsys):
     assert [v["p"] for v in doc["per_prime"]] == [2, 3]
 
 
-def test_decide_zm_json_factorizes_m_once(capsys, monkeypatch):
-    calls = []
-    real = nilpotence.factorize
-
-    def counting(q):
-        calls.append(q)
-        return real(q)
-
-    monkeypatch.setattr(nilpotence, "factorize", counting)
+def test_decide_zm_json_factorizes_m_once(capsys, spy):
+    calls = spy(nilpotence, "factorize")
     code, out, _ = run(capsys, "decide", "--zm", "--n", "6", "--m", "12", "--json")
     assert code == 0
     assert json.loads(out)["nilpotent"] is True
-    assert calls == [12]
+    assert [q for (q,), _ in calls] == [12]
 
 
 def test_decide_usage_errors(capsys):
@@ -138,26 +127,16 @@ def test_decide_beyond_int_limit_is_bad_input(capsys, argv):
     assert "Overflow" in err
 
 
-def _cli_process(*argv):
-    # A subprocess with a timeout, so a run that does not finish fails the test
-    # instead of hanging it.
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-m", "nilcirc.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=5,
-    )
-
-
 @pytest.mark.parametrize("m, primes", [
     (4294967279 * 4294967291, [4294967279, 4294967291]),  # balanced, just below 2**64
     (2**64 - 59, [2**64 - 59]),  # the largest prime below 2**64
 ])
-def test_decide_zm_is_fast_on_64_bit_moduli(m, primes):
+def test_decide_zm_is_fast_on_64_bit_moduli(cli_process, m, primes):
     start = time.perf_counter()
-    proc = _cli_process("decide", "--zm", "--json", "--n", str(m), "--m", str(m))
+    code, out, _ = cli_process("decide", "--zm", "--json", "--n", str(m), "--m", str(m)).finish()
     assert time.perf_counter() - start < 1.0
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
+    assert code == 0
+    doc = json.loads(out)
     assert doc["nilpotent"] is True
     assert [v["p"] for v in doc["per_prime"]] == primes
 
@@ -244,15 +223,15 @@ def test_scan_rows_1100_digests(capsys, name):
     ("--p", "2", "--n-max", "4096", "--m-max", "4096"),
     ("--zm", "--n-max", "4096", "--m-max", "4096"),
 ])
-def test_scan_verify_beyond_work_budget_is_refused(tmp_path, grid):
+def test_scan_verify_beyond_work_budget_is_refused(cli_process, tmp_path, grid):
     target = tmp_path / "report.csv"
     target.write_text("earlier report\n")
     start = time.perf_counter()
-    proc = _cli_process("scan", *grid, "--verify", "--out", str(target))
+    code, out, err = cli_process("scan", *grid, "--verify", "--out", str(target)).finish()
     assert time.perf_counter() - start < 1.0
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: BudgetExceeded: scan --verify work ")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: BudgetExceeded: scan --verify work ")
     assert target.read_text() == "earlier report\n"  # refused before --out is opened
 
 
@@ -323,51 +302,32 @@ def _reference_scan(p, n_max: int, m_max: int, fmt: str, verify: bool) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-class InlinePool:
-    """A process pool stand-in that runs each submitted task at once, in-process."""
-
-    def __init__(self, workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        return completed(fn(*args))
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(p=st.sampled_from([2, 3, 5, None]), n_max=st.integers(1, 40), m_max=st.integers(2, 40),
        fmt=st.sampled_from(["csv", "json"]), verify=st.booleans(), jobs=st.sampled_from([1, 2]),
        block=st.integers(1, 8))
-def test_scan_blocks_match_cell_by_cell_reference(p, n_max, m_max, fmt, verify, jobs, block):
+def test_scan_blocks_match_cell_by_cell_reference(fake_pool, p, n_max, m_max, fmt, verify, jobs,
+                                                  block):
     # Small blocks, so that rows split into several blocks past the first one,
     # whose splits and texts are kept for the later rows.
     mode = ("--p", str(p)) if p else ("--zm",)
     argv = ["scan", *mode, "--n-max", str(n_max), "--m-max", str(m_max), "--format", fmt,
             "--jobs", str(jobs), *(["--verify"] if verify else [])]
-    tasks = []
-
-    class RecordingPool(InlinePool):
-        def submit(self, fn, *args):
-            assert fn is oracle.geom_sum_indices  # the oracle alone: no verdict goes in
-            tasks.append(args)
-            return super().submit(fn, *args)
-
+    fake_pool.tasks.clear()  # one pool serves every example
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
         patch.setattr(cli, "_BLOCK", block)
-        patch.setattr(cli, "_process_pool", RecordingPool)
-        patch.setattr(os, "cpu_count", lambda: 2)
         assert main(argv) == 0
-    # A pooled verify sends one task (n, block, p) per block, in row order.
+    # the oracle alone: no verdict goes in
+    assert all(fn is oracle.geom_sum_indices for fn, _ in fake_pool.tasks)
+    # A pooled verify sends one task (n, block, p) per block, in row order, and
+    # a single block starts no pool.
     ms = range(1 if p else 2, m_max + 1)
-    pooled = verify and jobs == 2 and n_max * len(ms) > 1
-    assert tasks == ([(n, ms[lo:lo + block], p) for n in range(1, n_max + 1)
-                      for lo in range(0, len(ms), block)] if pooled else [])
+    pooled = verify and jobs == 2 and n_max * -(-len(ms) // block) > 1
+    assert [args for _, args in fake_pool.tasks] == (
+        [(n, ms[lo:lo + block], p) for n in range(1, n_max + 1)
+         for lo in range(0, len(ms), block)] if pooled else [])
     # Line by line: pytest's diff of two long texts takes minutes.
     got = out.getvalue().split("\n")
     want = _reference_scan(p, n_max, m_max, fmt, verify).split("\n")
@@ -426,20 +386,11 @@ def test_decide_zm_keeps_powers_of_the_prime_that_n_does_not_divide():
     (("--p", "2"), sum(-(-64 // (2 * numutil.p_adic_valuation(n, 2)[1])) for n in range(1, 65))),
     (("--zm",), sum(64 // n + 7 for n in range(1, 65))),
 ])
-def test_scan_decides_only_candidate_cells(capsys, monkeypatch, mode, bound):
+def test_scan_decides_only_candidate_cells(capsys, spy, mode, bound):
     # A scan that fell back to deciding every cell (4096 here) fails this bound.
-    calls = [0]
-
-    def counted(decide):
-        def wrapper(*args):
-            calls[0] += 1
-            return decide(*args)
-        return wrapper
-
-    monkeypatch.setattr(nilpotence, "zp_index", counted(nilpotence.zp_index))
-    monkeypatch.setattr(nilpotence, "zm_clause", counted(nilpotence.zm_clause))
+    zp, zm = spy(nilpotence, "zp_index"), spy(nilpotence, "zm_clause")
     assert run(capsys, "scan", *mode, "--n-max", "64", "--m-max", "64", "--format", "csv")[0] == 0
-    assert 0 < calls[0] <= bound
+    assert 0 < len(zp) + len(zm) <= bound
 
 
 @pytest.mark.parametrize("mode, expected", [
@@ -449,19 +400,11 @@ def test_scan_decides_only_candidate_cells(capsys, monkeypatch, mode, bound):
     # Over Z_m: m = 2..64 factored once, and row 1, which lies below the m axis.
     (("--zm",), {"prime_divisors": 64}),
 ])
-def test_scan_verdict_stage_splits_each_axis_value_once(capsys, monkeypatch, mode, expected):
-    calls = dict.fromkeys(["_valuation", "zp_index", "prime_divisors"], 0)
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for module, name in [(cli, "_valuation"), (nilpotence, "zp_index"),
-                         (nilpotence, "prime_divisors")]:
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+def test_scan_verdict_stage_splits_each_axis_value_once(capsys, spy, mode, expected):
+    spies = {name: spy(module, name) for module, name in [
+        (cli, "_valuation"), (nilpotence, "zp_index"), (nilpotence, "prime_divisors")]}
     assert run(capsys, "scan", *mode, "--n-max", "64", "--m-max", "64", "--format", "csv")[0] == 0
+    calls = {name: len(spied) for name, spied in spies.items()}
     assert calls == {**dict.fromkeys(calls, 0), **expected}
 
 
@@ -535,13 +478,13 @@ def test_scan_empty_range_rejected(capsys):
     ("scan", "--p", "2", "--n-max", "2", "--jobs", str(2**64)),
     ("identities", "--n", "3", "--p", "2", "--random-trials", str(2**64)),
 ])
-def test_range_flag_above_limit_is_usage_error(argv):
+def test_range_flag_above_limit_is_usage_error(cli_process, argv):
     start = time.perf_counter()
-    proc = _cli_process(*argv)
+    code, out, err = cli_process(*argv).finish()
     assert time.perf_counter() - start < 1.0
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert f"argument {argv[-2]}: value={argv[-1]} is above the limit 2**64 - 1" in proc.stderr
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-2]}: value={argv[-1]} is above the limit 2**64 - 1" in err
 
 
 def test_scan_zm_m_max_below_two_rejected(capsys):
@@ -623,79 +566,43 @@ def test_scan_parallel_blocks_cut_rows(capsys, monkeypatch):
     assert run(capsys, *grid, "--jobs", "2") == serial
 
 
-def test_scan_closed_form_never_starts_pool(capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a closed-form scan started a process pool")
-
-    monkeypatch.setattr(cli, "_process_pool", no_pool)
+def test_scan_closed_form_never_starts_pool(capsys, fake_pool):
     for mode in (("--p", "2"), ("--zm",)):
         code, _, _ = run(
             capsys, "scan", *mode, "--n-max", "8", "--m-max", "8", "--jobs", "2",
         )
         assert code == 0
+    assert fake_pool.workers == []  # a closed-form scan starts no process pool
 
 
-def test_import_leaves_process_pool_unloaded():
+def test_import_leaves_process_pool_unloaded(cli_process):
     # Only a pooled scan imports concurrent.futures (and with it multiprocessing).
     code = ("import sys, nilcirc.cli; nilcirc.cli.build_parser(); print(sorted("
             "m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=5)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+    assert cli_process(code=code).finish()[:2] == (0, "[]\n")
 
 
-def test_scan_jobs_capped_at_cpus_and_cells(capsys, monkeypatch):
+def test_scan_jobs_capped_at_cpus_and_cells(capsys, fake_pool):
     # Never starts real workers: the pool records its size and maps in-process.
-    started = []
-
-    class RecordingPool(InlinePool):
-        def __init__(self, workers):
-            started.append(workers)
-
-    monkeypatch.setattr(cli, "_process_pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     grid = ("scan", "--p", "2", "--n-max", "4", "--m-max", "4", "--verify")
     assert run(capsys, *grid, "--jobs", "64")[0] == 0
     assert run(capsys, *grid)[0] == 0
-    assert started == [2, 2]
+    assert fake_pool.workers == [2, 2]
     one_cell = ("scan", "--p", "2", "--n-max", "1", "--m-max", "1", "--verify")
     assert run(capsys, *one_cell, "--jobs", "64")[0] == 0
-    assert started == [2, 2]  # a single cell starts no pool
+    assert fake_pool.workers == [2, 2]  # a single cell starts no pool
+    one_block = ("scan", "--p", "2", "--n-max", "1", "--m-max", "2", "--verify")
+    assert run(capsys, *one_block, "--jobs", "64")[0] == 0
+    assert fake_pool.workers == [2, 2]  # nor does a single block of two cells
 
 
-def completed(value) -> Future:
-    future = Future()
-    future.set_result(value)
-    return future
-
-
-def test_scan_pool_keeps_a_bounded_window(capsys, monkeypatch):
-    # In-process stand-in: submit runs the task at once, and a future counts as
-    # outstanding until the scan takes its result.
-    in_flight = [0]
-    outstanding = []
-
-    class CountedFuture(Future):
-        def result(self, timeout=None):
-            in_flight[0] -= 1
-            return super().result(timeout)
-
-    class RecordingPool(InlinePool):
-        def submit(self, fn, *args):
-            in_flight[0] += 1
-            outstanding.append(in_flight[0])
-            future = CountedFuture()
-            future.set_result(fn(*args))
-            return future
-
+def test_scan_pool_keeps_a_bounded_window(capsys, fake_pool):
+    # A future counts as in flight until the scan takes its result.
     grid = ("scan", "--p", "2", "--n-max", "20", "--m-max", "20", "--verify", "--format", "csv")
     serial = run(capsys, *grid, "--jobs", "1")
-    monkeypatch.setattr(cli, "_process_pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run(capsys, *grid, "--jobs", "2") == serial  # cells in task order
-    assert len(outstanding) == 20  # one task per block: here one per row
-    assert max(outstanding) == 4  # never more than 2 x jobs in flight
+    assert len(fake_pool.tasks) == 20  # one task per block: here one per row
+    assert fake_pool.most == 4  # never more than 2 x jobs in flight
 
 
 def test_scan_out_file(tmp_path, capsys):
@@ -748,30 +655,20 @@ class RowLimit(Discard):
 
 
 @pytest.mark.parametrize("mode", [("--p", "2"), ("--zm",)])
-def test_scan_huge_m_axis_streams(monkeypatch, mode):
+def test_scan_huge_m_axis_streams(peak_memory, mode):
     # 2**40 cells in one row: nothing may be sized by the m axis up front, and
     # the splits kept for later rows are bounded.
-    monkeypatch.setattr("sys.stdout", RowLimit())
-    tracemalloc.start()
-    try:
-        with pytest.raises(Stop):
-            main(["scan", *mode, "--n-max", "1", "--m-max", str(2**40), "--format", "csv"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    stop, peak = peak_memory(["scan", *mode, "--n-max", "1", "--m-max", str(2**40),
+                              "--format", "csv"], RowLimit())
+    assert isinstance(stop, Stop)
     assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "human"])
-def test_scan_streams(monkeypatch, fmt):
+def test_scan_streams(peak_memory, fmt):
     # 10000 cells: the scan must not hold one cell, row or string per cell
-    monkeypatch.setattr("sys.stdout", Discard())
-    tracemalloc.start()
-    try:
-        code = main(["scan", "--p", "2", "--n-max", "100", "--m-max", "100", "--format", fmt])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_memory(["scan", "--p", "2", "--n-max", "100", "--m-max", "100",
+                              "--format", fmt], Discard())
     assert code == 0
     assert peak < 1_000_000
 
@@ -939,16 +836,10 @@ def test_lemma1_m_beyond_int_limit_is_overflow(capsys):
     assert "Overflow" in err
 
 
-def test_lemma1_all_targets_streams(monkeypatch):
+def test_lemma1_all_targets_streams(peak_memory):
     # 4096 targets: the sweep must not hold one report per target
-    monkeypatch.setattr("sys.stdout", Discard())
-    tracemalloc.start()
-    try:
-        code = main(["lemma1", "--d", "2", "--m-star", "1", "--n-star", "1",
-                     "--q", "12", "--json"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_memory(["lemma1", "--d", "2", "--m-star", "1", "--n-star", "1",
+                              "--q", "12", "--json"], Discard())
     assert code == 0
     assert peak < 1_000_000
 
@@ -1007,24 +898,12 @@ def test_identities_point_pass(capsys):
         assert any(line.startswith(name) and line.endswith("pass") for line in out.splitlines())
 
 
-def test_identities_point_decides_once(capsys, monkeypatch):
-    calls = {"decide_zp": 0, "geom_sum": 0}
-
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(nilpotence, "decide_zp")
-    counting(circring, "geom_sum")
+def test_identities_point_decides_once(capsys, spy):
+    decides, sums = spy(nilpotence, "decide_zp"), spy(circring, "geom_sum")
     code, _, _ = run(capsys, "identities", "--n", "8", "--m", "2", "--p", "2")
     assert code == 0
     # one T for the witness and annihilation, one for the oracle's geometric check
-    assert calls == {"decide_zp": 1, "geom_sum": 2}
+    assert {"decide_zp": len(decides), "geom_sum": len(sums)} == {"decide_zp": 1, "geom_sum": 2}
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -1121,13 +1000,13 @@ def test_identities_random_n_beyond_int_limit_is_overflow(capsys):
     # 64-bit p: inside a count of trials * n alone, and about a minute of work
     ("identities", "--n", "4096", "--p", str(2**64 - 59), "--random-trials", "1"),
 ])
-def test_identities_beyond_work_budget_is_refused(argv):
+def test_identities_beyond_work_budget_is_refused(cli_process, argv):
     start = time.perf_counter()
-    proc = _cli_process(*argv)
+    code, out, err = cli_process(*argv).finish()
     assert time.perf_counter() - start < 1.0
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: BudgetExceeded: ")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: BudgetExceeded: ")
 
 
 def test_identities_budget_bounds_n_and_weighted_trials(capsys, monkeypatch):
@@ -1180,20 +1059,51 @@ def test_help_exits_zero(capsys):
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
-def test_closed_pipe_ends_quietly():
+def test_closed_pipe_ends_quietly(cli_process):
     # The reader takes one line of a 65536-target sweep, far more than a pipe
     # buffers, and closes the pipe: no traceback, and not the disagreement exit.
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "nilcirc.cli", "lemma1", "--d", "2", "--m-star", "1",
-         "--n-star", "1", "--q", "16"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline().startswith(b"instance ")
+    proc = cli_process("lemma1", "--d", "2", "--m-star", "1", "--n-star", "1", "--q", "16")
+    assert proc.stdout.readline().startswith("instance ")
     proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == -signal.SIGPIPE
-    assert err == b""
+    assert proc.finish(timeout=60)[::2] == (-signal.SIGPIPE, "")
+
+
+# A scan as `python -c`, on a host of two CPUs, under the multiprocessing start
+# method named by its first argument, or the default one if that is empty.
+POOLED_SCAN = """
+import multiprocessing, os, sys
+from nilcirc import cli
+os.cpu_count = lambda: 2
+if method := sys.argv.pop(1):
+    multiprocessing.set_start_method(method)
+cli.entry()
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_pool_workers_end_with_their_scan(cli_process):
+    # A worker blocked on the pool's call queue outlives a scan ended by a closed
+    # pipe or by SIGTERM, unless it watches the scan. The reader waits for the
+    # first row, which a worker answered. Each process that the scan starts holds
+    # its stderr, so stderr ends (within finish's 5 s) only when the last one does.
+    for method, signum in (("", signal.SIGPIPE), ("spawn", signal.SIGPIPE),
+                           ("", signal.SIGTERM)):
+        proc = cli_process(method, "scan", "--p", "2", "--n-max", "128", "--m-max", "128",
+                           "--verify", "--jobs", "2", "--format", "csv", code=POOLED_SCAN)
+        assert proc.stdout.readline() == "n,m,nilpotent,index,agree\n"
+        assert proc.stdout.readline() == "1,1,false,,true\n"
+        if signum == signal.SIGTERM:
+            proc.terminate()
+        proc.stdout.close()
+        code, _, err = proc.finish()
+        assert code == -signum, method
+        # Under spawn (and forkserver) the resource tracker removes the pool's
+        # named semaphores, which the scan's death left behind, and says so in
+        # two lines.
+        lines = err.splitlines()
+        if lines and "leaked semaphore objects" in lines[0]:
+            del lines[:2]
+        assert signum == signal.SIGTERM or lines == [], method
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
@@ -1201,15 +1111,11 @@ def test_closed_pipe_ends_quietly():
     ("scan", "--p", "2", "--n-max", "2", "--m-max", "2", "--out", "/dev/full"),
     ("decide", "--n", "4", "--m", "2", "--p", "2", "--json"),
 ])
-def test_failed_write_is_usage_error(argv):
+def test_failed_write_is_usage_error(cli_process, argv):
     # A full device: one error line and the exit of an unopenable --out, no
     # traceback, and nothing more from the interpreter's last flush of stdout.
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "nilcirc.cli", *argv],
-            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
-    assert proc.returncode == 2
-    err = proc.stderr.decode().splitlines()
+        code, _, err = cli_process(*argv, stdout=full).finish(timeout=60)
+    assert code == 2
+    err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write output: ")

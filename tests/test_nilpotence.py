@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcirc import circring, oracle
+from nilcirc import circring, numutil, oracle
 from nilcirc.errors import InvalidInput, InvalidPrime
 from nilcirc.nilpotence import (
     ZmClause,
@@ -130,6 +130,17 @@ def test_decide_zm_via_primes_examples():
     assert not v.nilpotent
     assert [(z.p, z.nilpotent) for z in v.per_prime] == [(2, True), (3, False)]
     assert decide_zm_via_primes(1, 2).nilpotent
+
+
+def test_decisions_prove_each_prime_once(spy):
+    # decide_zp proves p prime once, and the Z_m route proves again none of the
+    # primes that factorize proved: m, then each of its two factors, then 2 and 3.
+    calls = spy(numutil, "is_prime")
+    decide_zp(12, 8, 2)
+    assert len(calls) == 1
+    calls = spy(numutil, "is_prime")
+    decide_zm_via_primes(6, 1000003 * 999983)
+    assert len(calls) == 5
 
 
 def test_decide_zm_rejects_bad_input():

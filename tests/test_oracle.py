@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilcirc import circring
@@ -42,19 +42,6 @@ def test_oracle_self_consistency():
     assert seen_nilpotent > 0
 
 
-def _walked(monkeypatch, elem):
-    """Record, per product of the oracle's walk, the lanes (powers) it computes."""
-    bits = 16 * elem.order * circring._layout(elem.order, elem.modulus)[0]
-    lanes, real_reduce = [], circring._reduce
-
-    def counted_reduce(prod, *args):
-        lanes.append(-(-prod.bit_length() // bits))  # its top lane is never zero
-        return real_reduce(prod, *args)
-
-    monkeypatch.setattr(circring, "_reduce", counted_reduce)
-    return lanes
-
-
 @pytest.mark.parametrize("elem, bound, index", [
     (circring.geom_sum(8, 2, 2), 8, 8),  # nilpotent: the last power inspected is zero
     (circring.geom_sum(3, 6, 2), 3, 1),  # T itself is zero: no product at all
@@ -67,9 +54,12 @@ def _walked(monkeypatch, elem):
     (circring.identity(3, 2), 200, None),  # many full batches at the most lanes
     (circring.identity(64, 3), 64, None),  # one lane: one product per power
 ])
-def test_min_nilpotent_index_step_count(monkeypatch, elem, bound, index):
-    lanes = _walked(monkeypatch, elem)
+def test_min_nilpotent_index_step_count(spy, elem, bound, index):
+    reduces = spy(circring, "_reduce")
     assert min_nilpotent_index(elem, bound) == index
+    # The lanes (powers) of each product: its top lane is never zero.
+    bits = 16 * elem.order * circring._layout(elem.order, elem.modulus)[0]
+    lanes = [-(-prod.bit_length() // bits) for (prod, *_), _ in reduces]
     # Every power up to the answer is computed, none past the bound.
     assert (index or bound) - 1 <= sum(lanes) <= bound - 1
     if index is None:
@@ -167,18 +157,13 @@ def index_blocks(draw):
 
 
 @given(index_blocks())
-@settings(max_examples=80, deadline=None)
-def test_geom_sum_indices_equal_min_nilpotent_index(block):
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_geom_sum_indices_equal_min_nilpotent_index(spy, block):
     n, ms, q = block
-    walked, real_walk = [], circring._walk
-
-    def recorded(t, *args):
-        walked.append(t)
-        return real_walk(t, *args)
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(circring, "_walk", recorded)
-        found = geom_sum_indices(n, ms, q)
+    walks = spy(circring, "_walk")
+    found = geom_sum_indices(n, ms, q)
+    walked = [t for (t, *_), _ in walks]
     elems = [circring.geom_sum(n, m, q or m) for m in ms]
     assert found == [min_nilpotent_index(t, n) for t in elems]
     # Each walk starts from the packed T, and each distinct T of a ring is walked once.
@@ -186,52 +171,34 @@ def test_geom_sum_indices_equal_min_nilpotent_index(block):
     assert walked == (list(dict.fromkeys(packed)) if q else packed)
 
 
-def test_geom_sum_indices_walk_each_distinct_element_once(monkeypatch):
+def test_geom_sum_indices_walk_each_distinct_element_once(spy):
     # T(n, m) over Z_2 depends only on m mod 2n, so a row of 1024 values of m
     # holds at most 2n distinct elements. A walk's first product is t * t, t
     # the packed T; the walk's later products hold two lanes or powers past T.
     n, ms = 28, range(1025, 2049)
     w = circring._layout(n, 2)[0]
     squares = {circring._pack(circring.geom_sum(n, m, 2).coeffs, w) ** 2 for m in ms}
-    starts, real_reduce = [], circring._reduce
-
-    def counted_reduce(prod, *args):
-        starts.extend([prod] if prod in squares else [])
-        return real_reduce(prod, *args)
-
-    monkeypatch.setattr(circring, "_reduce", counted_reduce)
+    reduces = spy(circring, "_reduce")
     found = geom_sum_indices(n, ms, 2)
-    monkeypatch.undo()
+    starts = [prod for (prod, *_), _ in reduces if prod in squares]
     assert found == [min_nilpotent_index(circring.geom_sum(n, m, 2), n) for m in ms]
     assert 0 < len(starts) == len(set(starts)) <= 2 * n
 
 
-def test_zm_walks_keep_their_own_slot_width_and_lanes(monkeypatch):
+def test_zm_walks_keep_their_own_slot_width_and_lanes(spy):
     # A Z_m block is cut where a cell's own slot width changes; each part takes
     # one layout, from its largest modulus, and every cell's walk keeps the slot
     # width and lane count of _layout(n, m).
-    real_walk, real_layout = circring._walk, circring._layout
-    walks, layouts = [], []
-
-    def walk(t, n, q, layout, bound):
-        walks.append((q, layout[0], layout[3]))
-        return real_walk(t, n, q, layout, bound)
-
-    def layout_spy(n, q):
-        layouts.append(q)
-        return real_layout(n, q)
-
-    monkeypatch.setattr(circring, "_walk", walk)
-    monkeypatch.setattr(circring, "_layout", layout_spy)
     parts = 0
     for n, ms in ((1, range(2, 1026)), (2, range(2, 1026)), (28, range(2, 1026)),
                   (64, range(2, 300)), (5, range(INT_LIMIT - 40, INT_LIMIT + 1))):
-        walks.clear()
-        layouts.clear()
+        walk_calls, layout_calls = spy(circring, "_walk"), spy(circring, "_layout")
         geom_sum_indices(n, ms)
+        walks = [(q, layout[0], layout[3]) for (_, _, q, layout, _), _ in walk_calls]
+        layouts = [q for (_, q), _ in layout_calls]
         assert [q for q, _, _ in walks] == list(ms)
         for q, w, lanes in walks:
-            own = real_layout(n, q)
+            own = circring._layout(n, q)
             assert (w, lanes) == (own[0], own[3]), (n, q)
         widths = sorted({w for _, w, _ in walks})
         assert layouts == [max(q for q, v, _ in walks if v == w) for w in widths]
@@ -297,14 +264,12 @@ def test_frobenius_exponent_beyond_int_limit():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_frobenius_maps_each_element_once(monkeypatch, k):
+def test_frobenius_maps_each_element_once(spy, k):
     # a, b, a + b and a * b each go through x -> x**p k times: 4k powers
-    calls = []
-    real = circring.power
-    monkeypatch.setattr(circring, "power", lambda x, e: calls.append(e) or real(x, e))
+    powers = spy(circring, "power")
     a = circring.CirculantElem(5, 3, (1, 2, 0, 1, 1))
     assert frobenius_check(a, circring.shift_power(5, 3, 2), k)
-    assert calls == [3] * (4 * k)
+    assert [e for (_, e), _ in powers] == [3] * (4 * k)
 
 
 def test_frobenius_rejects_composite_modulus():
