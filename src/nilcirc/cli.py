@@ -29,10 +29,9 @@ EXIT_BAD_INPUT = 3
 
 # Cells per block: a scan decides, tallies, renders and writes one row n and
 # at most this many consecutive values of m in one step, and a pooled verify
-# sends a worker one block per task. The first block's splits and texts of m
-# are kept for the later rows, and serve as the splits of the rows n in its
-# range; past it, a Z_m block's candidate cells are split again in every row, so
-# a scan's memory stays bounded however long the m axis.
+# sends a worker one block per task. The first block's texts of m are kept for
+# the later rows; past it, a block's texts are built again in every row, so a
+# scan's memory stays bounded however long the m axis.
 _BLOCK = 2**10
 
 # Report texts that lemma1 joins and writes at once: large enough that a write
@@ -56,31 +55,28 @@ _TEMPLATES = {
 
 
 # ---------------------------------------------------------------------------
-# scan blocks: each axis value is split once per scan, and over Z_p Theorem 1 is
+# scan blocks: each row n is split once per scan, and over Z_p Theorem 1 is
 # evaluated once per block and valuation of m
 
 
 def _blocks(p, n_max: int, ms: range):
-    """(n, block, verdicts) for each block of the grid, row by row.
+    """(n, n_split, block, verdicts) for each block of the grid, row by row.
 
-    A block is one row n and at most _BLOCK consecutive values of m. Its
-    verdicts map the offset of each nilpotent cell to the index over Z_p, or to
-    the clause over Z_m (p is None); p is a prime checked by the caller. The
-    first block of m is split before the first row, and a row n in that block's
-    range takes its split from there; only later rows split n.
+    A block is one row n and at most _BLOCK consecutive values of m. n_split
+    is n's split: (a, n_star) over Z_p, the primes of n over Z_m (p is None);
+    p is a prime checked by the caller. The verdicts map the offset of each
+    nilpotent cell to the index over Z_p, or to the clause over Z_m.
     """
     split = nilpotence.prime_divisors if p is None else functools.partial(_valuation, p=p)
-    first = list(map(split, ms[:_BLOCK]))
     for n in range(1, n_max + 1):
-        n_split = first[n - ms.start] if ms.start <= n < ms.start + len(first) else split(n)
+        n_split = split(n)
         for lo in range(0, ms.stop - ms.start, _BLOCK):  # len() overflows past 2**63
             block = ms[lo:lo + _BLOCK]
-            m_split = (lambda i, block=block: split(block[i])) if lo else first.__getitem__
-            yield n, block, _decide(p, n, n_split, block, m_split)
+            yield n, n_split, block, _decide(p, n, n_split, block)
 
 
-def _decide(p, n: int, n_split, block: range, m_split) -> dict:
-    """{offset: verdict} for row n's nilpotent cells in block; m_split(i) splits block[i].
+def _decide(p, n: int, n_split, block: range) -> dict:
+    """{offset: verdict} for row n's nilpotent cells in block, from n's split alone.
 
     zp_index and zm_clause decide the candidate cells; no other cell can be nilpotent:
     - Over Z_p, with n = p**a * n_star and m = p**b * m_star, zp_index is None
@@ -110,37 +106,37 @@ def _decide(p, n: int, n_split, block: range, m_split) -> dict:
         powers = map(n_split[0].__pow__, range(1, n.bit_length()))
         offsets = itertools.chain(offsets, (x - block.start for x in powers
                                             if x < n and x in block))
-    return {i: nilpotence.zm_clause(n, block[i], n_split, m_split(i)) for i in offsets}
+    return {i: nilpotence.zm_clause(n, block[i], n_split) for i in offsets}
 
 
-def _agree(p, no, n: int, block: range, vs: dict, found: list) -> dict:
+def _agree(p, no, n: int, n_split, block: range, vs: dict, found: list) -> dict:
     """(verdict, oracle index, agree) by offset for the cells of row n and block
     whose verdict is not no or whose oracle index found[i] is not None.
 
     A cell agrees when both sides find it not nilpotent, or both find it
     nilpotent and the oracle's index lies in the closed form's bracket: (v, v)
-    over Z_p, v the index reported; over Z_m nilpotence.zm_index_bracket,
-    which is Theorem 1 at each prime of m.
+    over Z_p, v the index reported; over Z_m nilpotence.zm_index_bracket, which
+    is Theorem 1 at each prime of n (n_split), and (1, 1) in row n = 1.
     """
     keys = {}
     for i, k in enumerate(found):
         if (v := vs.get(i, no)) is not no or k is not None:
             bracket = v is not no and k is not None and (
-                (v, v) if p is not None else nilpotence.zm_index_bracket(n, block[i]))
+                (v, v) if p is not None else nilpotence.zm_index_bracket(n, block[i], n_split))
             keys[i] = v, k, bool(bracket) and bracket[0] <= k <= bracket[1]
     return keys
 
 
 def _pooled(pool, p, blocks, window: int):
-    """(n, block, verdicts, oracle indices) for each block in order, by one pool
+    """(n, n_split, block, verdicts, oracle indices) for each block in order, by one pool
     task per block. At most window blocks are in flight, so memory stays bounded
     by the window whatever the grid size."""
     pending = collections.deque()
-    for n, block, vs in blocks:
+    for n, n_split, block, vs in blocks:
         if len(pending) == window:
             *piece, future = pending.popleft()
             yield *piece, future.result()
-        pending.append((n, block, vs, pool.submit(oracle.geom_sum_indices, n, block, p)))
+        pending.append((n, n_split, block, vs, pool.submit(oracle.geom_sum_indices, n, block, p)))
     for *piece, future in pending:
         yield *piece, future.result()
 
@@ -255,10 +251,11 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     # Each block is tallied and written as it is decided; nothing holds the grid.
     with sink as out, _process_pool(jobs) if jobs > 1 else nullcontext() as pool:
-        # (n, block, verdicts, oracle indices): the indices found in the pool if any.
+        # Each block with its oracle indices, found in the pool if any.
         if pool is None:
-            pieces = ((n, block, vs, oracle.geom_sum_indices(n, block, p) if args.verify else None)
-                      for n, block, vs in blocks)
+            pieces = ((n, n_split, block, vs,
+                       oracle.geom_sum_indices(n, block, p) if args.verify else None)
+                      for n, n_split, block, vs in blocks)
         else:
             pieces = _pooled(pool, p, blocks, 2 * jobs)
         columns = _CSV_COLUMNS[mode]
@@ -277,8 +274,8 @@ def cmd_scan(args) -> int:
             cell = "%d" + _tail((no, None, True) if args.verify else no, args.format, columns, no)
             first = list(map(cell.__mod__, ms[:_BLOCK]))
         lead = ""
-        for n, block, vs, found in pieces:
-            keys = _agree(p, no, n, block, vs, found) if args.verify else vs
+        for n, n_split, block, vs, found in pieces:
+            keys = _agree(p, no, n, n_split, block, vs, found) if args.verify else vs
             summary["nilpotent"] += len(vs)
             if args.verify:
                 summary["disagreements"] += [{"n": n, "m": block[i]}

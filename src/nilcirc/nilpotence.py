@@ -3,8 +3,8 @@
 Over Z_p the decision is exact: write n = p**a * n_star and m = p**b * m_star
 with the starred parts coprime to p; T is nilpotent iff b >= 1 and
 n_star | m_star, and then its index is ceil(p**a / (p**b - 1)). Over Z_m two
-independent routes are provided: the literal two-clause predicate, and the
-reduction to decide_zp at every prime factor of m.
+independent routes are provided: Corollary 1's clause from the primes of n
+(zm_clause), and the reduction to decide_zp at every prime factor of m.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ IDENTITIES_BUDGET = 2**12
 # Work budget of `nilcirc scan --verify`, in coefficients: the number of m
 # values times the sum of n**2 over n <= n_max, since the oracle's walk on a
 # cell of order n reduces up to n powers of n coefficients each. The 128 x 128
-# grid over Z_2 counts about 9.1e7 and takes about 1.6 s at --jobs 1 on a
+# grid over Z_2 counts about 9.1e7 and takes about 2.2 s at --jobs 1 on a
 # 2-CPU machine; 4096 x 4096 counts about 9.4e13.
 VERIFY_BUDGET = 2**27
 
@@ -121,60 +121,62 @@ def prime_divisors(x: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factorize(x)) if x != 1 else ()
 
 
-def _zm_primes(n: int, m: int) -> tuple[int, ...]:
-    """Check the arguments of a Z_m decision; return the primes dividing m."""
-    _check_int("m", m, 2)
-    _check_int("n", n, 1)
-    return prime_divisors(m)
+def zm_clause(n: int, m: int, n_primes: tuple[int, ...]) -> ZmClause:
+    """Corollary 1's clause over Z_m, from the primes n_primes of n: for n = 1,
+    same_prime_powers if m is a prime power (the one case that factors m); for
+    n a power of a prime q, same_prime_powers if dividing q out of m leaves 1;
+    otherwise multi_prime_divides if n | m, else not nilpotent.
 
-
-def zm_clause(n: int, m: int, n_primes: tuple[int, ...], m_primes: tuple[int, ...]) -> ZmClause:
-    """The literal two-clause predicate over Z_m, on the primes dividing n and m.
-
-    Nilpotent iff either m and n are powers of one common prime (n = 1, with
-    no primes, counts as the zeroth power), or m has at least two distinct
-    prime factors and n divides m.
+    This is the literal rule, m and n powers of one prime (n = 1 the zeroth) or
+    m with two primes and n | m: n = 1 divides every m, and an m that is no
+    prime power has two primes; for n = q**j, an m that n divides and that is
+    no power of q has a second prime; an n with two primes divides no prime
+    power, and each multiple of it has two primes.
     """
-    if len(m_primes) == 1:
-        if n_primes in ((), m_primes):
-            return ZmClause.SAME_PRIME_POWERS
-    elif m % n == 0:
-        return ZmClause.MULTI_PRIME_DIVIDES
-    return ZmClause.NOT_NILPOTENT
+    if not n_primes:
+        return (ZmClause.SAME_PRIME_POWERS if len(prime_divisors(m)) == 1
+                else ZmClause.MULTI_PRIME_DIVIDES)
+    if len(n_primes) == 1 and _valuation(m, n_primes[0])[1] == 1:
+        return ZmClause.SAME_PRIME_POWERS
+    return ZmClause.MULTI_PRIME_DIVIDES if m % n == 0 else ZmClause.NOT_NILPOTENT
 
 
-def zm_index_bracket(n: int, m: int) -> Optional[tuple[int, int]]:
-    """(max k_p, max e*k_p) over the primes p of m = prod p**e, k_p Theorem 1's
-    index of T(n, m) over Z_p; None if T is not nilpotent over some Z_p.
+def zm_index_bracket(n: int, m: int, n_primes: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """(max(1, max k_p), max(1, max e_p*k_p)) over the primes p of n, e_p = v_p(m)
+    and k_p Theorem 1's index over Z_p; None where T(n, m) is not nilpotent.
 
-    When T is nilpotent over Z_m, its index lies in this bracket. By the CRT,
-    Z_m[x]/(x**n - 1) is the product of the Z_(p**e)[x]/(x**n - 1), so the
-    index over Z_m is the largest over the Z_(p**e). Reducing mod p is a ring
-    map, so each is at least k_p. T**k_p = 0 mod p means T**k_p = p*U, so
-    T**(e*k_p) = p**e * U**e = 0 over Z_(p**e). For squarefree m the bracket
-    is one point.
+    Else the index lies in this bracket. By the CRT, the index over Z_m is the
+    largest over the Z_(p**e), m = prod p**e. At a prime p of n, reducing mod p
+    is a ring map, so that index is at least k_p; and T**k_p = p*U gives
+    T**(e*k_p) = p**e * U**e = 0. k_p is defined, as n | m or n and m are
+    powers of p. A prime p of m outside n gives 1: a nilpotent cell with one
+    has n | m, so p**e divides m / n, which is every coefficient of T.
     """
     _check_int("n", n, 1)
     _check_int("m", m, 2)
-    low = high = 0
-    for p, e in factorize(m):
-        k = zp_index(*_valuation(n, p), e, m // p**e, p)
-        if k is None:
-            return None
+    if n_primes and zm_clause(n, m, n_primes) is ZmClause.NOT_NILPOTENT:
+        return None
+    low = high = 1
+    for p in n_primes:
+        e, m_star = _valuation(m, p)
+        k = zp_index(*_valuation(n, p), e, m_star, p)
         low, high = max(low, k), max(high, e * k)
     return low, high
 
 
 def decide_zm(n: int, m: int) -> ZmVerdict:
-    """Decide nilpotence of T over Z_m by the two clauses of zm_clause."""
-    m_primes = _zm_primes(n, m)
-    clause = zm_clause(n, m, prime_divisors(n), m_primes)
+    """Decide nilpotence of T over Z_m by zm_clause."""
+    _check_int("m", m, 2)
+    _check_int("n", n, 1)
+    clause = zm_clause(n, m, prime_divisors(n))
     return ZmVerdict(n, m, clause is not ZmClause.NOT_NILPOTENT, clause)
 
 
 def decide_zm_via_primes(n: int, m: int) -> ZmVerdict:
     """Nilpotent over Z_m iff nilpotent over Z_p for every prime p | m."""
-    verdicts = tuple(decide_zp(n, m, p) for p in _zm_primes(n, m))
+    _check_int("m", m, 2)
+    _check_int("n", n, 1)
+    verdicts = tuple(decide_zp(n, m, p) for p in prime_divisors(m))
     nilpotent = all(v.nilpotent for v in verdicts)
     if not nilpotent:
         clause = ZmClause.NOT_NILPOTENT

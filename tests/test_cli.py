@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -208,14 +209,25 @@ ROWS_1100 = {
 
 @pytest.mark.parametrize("name", ROWS_1100)
 def test_scan_rows_1100_digests(capsys, name):
-    # A row n inside the first block of m takes its split from that block, and
-    # only rows past it (n > 1024 here) split n themselves. The Z_2 grid's m
-    # axis also crosses two block edges.
+    # Rows past the first block of m (n > 1024 here) are split as any other
+    # row. The Z_2 grid's m axis also crosses two block edges.
     digests = _digests("rows_1100.sha256")
     assert set(digests) == set(ROWS_1100)
     code, out, _ = run(capsys, "scan", *ROWS_1100[name], "--n-max", "1100", "--format", "csv")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digests[name]
+
+
+ZM_40X5000 = ("scan", "--zm", "--n-max", "40", "--m-max", "5000", "--format", "csv")
+
+
+def test_scan_zm_40x5000_digest(capsys):
+    # A closed Z_m grid whose rows cross four block edges of m: row 1, rows that
+    # are powers of one prime, and rows of two primes or more.
+    code, out, _ = run(capsys, *ZM_40X5000)
+    assert code == 0
+    digest = _digests("scan_zm_40x5000.sha256")["scan_zm_40x5000.csv"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("grid", [
@@ -353,33 +365,25 @@ def _row_blocks(draw):
 @settings(max_examples=200, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7, 2**61 - 1, None]), row_block=_row_blocks())
 def test_decide_keeps_every_nilpotent_cell(p, row_block):
-    # The candidate filter against every cell decided by the verdict step itself.
-    # Over Z_p the cells of each valuation of m are known without splitting m.
+    # The candidate filter, which sees only the split of n, against every cell
+    # decided on its own: over Z_m by Theorem 1 at each prime of m, the route
+    # that shares no code with zm_clause.
     n, block = row_block
     split = _split(p)
-
-    def m_split(i):
-        if p is not None:
-            raise AssertionError("a Z_p row split m")
-        return split(block[i])
-
     if p is None:
         dense = {i: v for i, m in enumerate(block)
-                 if (v := nilpotence.zm_clause(n, m, split(n), split(m)))
+                 if (v := nilpotence.decide_zm_via_primes(n, m).clause)
                  is not nilpotence.ZmClause.NOT_NILPOTENT}
     else:
         dense = {i: v for i, m in enumerate(block)
                  if (v := nilpotence.zp_index(*split(n), *split(m), p)) is not None}
-    assert cli._decide(p, n, split(n), block, m_split) == dense
+    assert cli._decide(p, n, split(n), block) == dense
 
 
 def test_decide_zm_keeps_powers_of_the_prime_that_n_does_not_divide():
     # Row n = 8: m = 2 and m = 4 are same_prime_powers although 8 does not divide them.
-    block = range(2, 18)
-    split = _split(None)
     same = nilpotence.ZmClause.SAME_PRIME_POWERS
-    assert cli._decide(None, 8, (2,), block, lambda i: split(block[i])) == {
-        0: same, 2: same, 6: same, 14: same}
+    assert cli._decide(None, 8, (2,), range(2, 18)) == {0: same, 2: same, 6: same, 14: same}
 
 
 @pytest.mark.parametrize("mode, bound", [
@@ -394,11 +398,12 @@ def test_scan_decides_only_candidate_cells(capsys, spy, mode, bound):
 
 
 @pytest.mark.parametrize("mode, expected", [
-    # Over Z_3: m = 1..64 split once, every row n <= 64 among them; Theorem 1 once per
-    # row and distinct valuation b of its candidates (a row of n* > 21 has none).
+    # Over Z_3: each row n <= 64 split once and m never; Theorem 1 once per row
+    # and distinct valuation b of its candidates (a row of n* > 21 has none).
     (("--p", "3"), {"_valuation": 64, "zp_index": 60}),
-    # Over Z_m: m = 2..64 factored once, and row 1, which lies below the m axis.
-    (("--zm",), {"prime_divisors": 64}),
+    # Over Z_m: each row n <= 64 split once, and m = 2..64 once in row 1, whose
+    # clause asks whether m is a prime power.
+    (("--zm",), {"prime_divisors": 64 + 63}),
 ])
 def test_scan_verdict_stage_splits_each_axis_value_once(capsys, spy, mode, expected):
     spies = {name: spy(module, name) for module, name in [
@@ -406,6 +411,28 @@ def test_scan_verdict_stage_splits_each_axis_value_once(capsys, spy, mode, expec
     assert run(capsys, "scan", *mode, "--n-max", "64", "--m-max", "64", "--format", "csv")[0] == 0
     calls = {name: len(spied) for name, spied in spies.items()}
     assert calls == {**dict.fromkeys(calls, 0), **expected}
+
+
+ZM_VERIFY_8X300 = ("scan", "--zm", "--n-max", "8", "--m-max", "300", "--verify")
+
+
+@pytest.mark.parametrize("argv, block, pooled", [
+    (ZM_40X5000, cli._BLOCK, False),
+    ((*ZM_VERIFY_8X300, "--jobs", "1"), 64, False),
+    ((*ZM_VERIFY_8X300, "--jobs", "2"), 64, True),
+], ids=["closed", "verify_serial", "verify_pooled"])
+def test_scan_zm_factors_m_only_in_row_1(capsys, spy, fake_pool, monkeypatch, argv, block,
+                                         pooled):
+    # factorize runs on each m of row 1, whose clause asks for prime powers, then
+    # on each row n >= 2 (row 1 has no primes), in that order and nothing more:
+    # no later row, and no bracket of the verify stage, factors m.
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    calls = spy(nilpotence, "factorize")
+    assert run(capsys, *argv)[0] == 0
+    assert bool(fake_pool.tasks) == pooled
+    n_max, m_max = int(argv[argv.index("--n-max") + 1]), int(argv[argv.index("--m-max") + 1])
+    assert [args for args, _ in calls] == [(x,) for x in [*range(2, m_max + 1),
+                                                         *range(2, n_max + 1)]]
 
 
 def _csv_rows(out):
@@ -657,7 +684,7 @@ class RowLimit(Discard):
 @pytest.mark.parametrize("mode", [("--p", "2"), ("--zm",)])
 def test_scan_huge_m_axis_streams(peak_memory, mode):
     # 2**40 cells in one row: nothing may be sized by the m axis up front, and
-    # the splits kept for later rows are bounded.
+    # the texts kept for later rows are bounded.
     stop, peak = peak_memory(["scan", *mode, "--n-max", "1", "--m-max", str(2**40),
                               "--format", "csv"], RowLimit())
     assert isinstance(stop, Stop)
@@ -666,8 +693,9 @@ def test_scan_huge_m_axis_streams(peak_memory, mode):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "human"])
 def test_scan_streams(peak_memory, fmt):
-    # 10000 cells: the scan must not hold one cell, row or string per cell
-    code, peak = peak_memory(["scan", "--p", "2", "--n-max", "100", "--m-max", "100",
+    # 250000 cells: the scan must not hold one cell, row or string per cell. At
+    # this size a scan that kept each row's cell texts holds about 2.5 MB.
+    code, peak = peak_memory(["scan", "--p", "2", "--n-max", "500", "--m-max", "500",
                               "--format", fmt], Discard())
     assert code == 0
     assert peak < 1_000_000
@@ -1118,4 +1146,32 @@ def test_failed_write_is_usage_error(cli_process, argv):
         code, _, err = cli_process(*argv, stdout=full).finish(timeout=60)
     assert code == 2
     err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+
+
+class FullDevice(io.RawIOBase):
+    """A device that refuses every write with ENOSPC while full is set."""
+
+    full = True
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.full:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(data)
+
+
+def test_buffered_write_to_full_device_is_usage_error(capsys, monkeypatch):
+    # A buffered stdout on a full device fails only when it is flushed: main's
+    # own flush must report it, where /dev/full, unbuffered, fails at the write.
+    device = FullDevice()
+    stdout = io.TextIOWrapper(io.BufferedWriter(device))
+    monkeypatch.setattr("sys.stdout", stdout)
+    code = main(["decide", "--n", "4", "--m", "2", "--p", "2", "--json"])
+    err = capsys.readouterr().err.splitlines()
+    device.full = False  # so that closing the stream drops what it holds
+    stdout.close()
+    assert code == 2
     assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
