@@ -27,12 +27,20 @@ EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 
 
-# Cells per block: a scan decides, tallies, renders and writes one row n and
-# at most this many consecutive values of m in one step, and a pooled verify
-# sends a worker one block per task. The first block's texts of m are kept for
-# the later rows; past it, a block's texts are built again in every row, so a
-# scan's memory stays bounded however long the m axis.
+# Cells per block: a scan decides one row n and at most this many consecutive
+# values of m in one step (one verdict per class of candidate cells, and over
+# Z_m one per cell in row 1 only), tallies them, and renders them into one text
+# that it hands to one write; a pooled verify sends a worker one block per task.
+# The first block's texts of m are kept for the later rows; past it, a block's
+# texts are built again in every row, so a scan's memory stays bounded however
+# long the m axis.
 _BLOCK = 2**10
+
+# Bytes that an --out file gathers before a write to the file. A block's text
+# runs from a few KB (a CSV row of a few hundred cells) to about 40 KB (a JSON
+# row of 400 cells). The default buffer, the file system's block size (often
+# 4 KB), holds none of them, so each block would take a write of its own.
+_OUT_BUFFER = 2**18
 
 # Report texts that lemma1 joins and writes at once: large enough that a write
 # is rare, small enough that a sweep over every target holds about 150 KB of
@@ -88,10 +96,15 @@ def _decide(p, n: int, n_split, block: range) -> dict:
       are the multiples of p**b * n_star: b = 1, 2, ... fills those with the
       index at m = p**b * n_star, a later b overwriting an earlier one.
     - Over Z_m, zm_clause is NOT_NILPOTENT unless n | m, or m is a power of a
-      prime q and n is 1 or a power of q. The candidates are the multiples of
-      n and, if n is a power of q, the powers of q below n (the rest divide by n).
-      Each is nilpotent: one that is a power of q has n = 1 or a power of q
-      (same_prime_powers), and any other is a multiple of n with two primes.
+      prime q and n is 1 or a power of q. Row n = 1 takes zm_clause on every
+      cell, since its clause asks whether m is a prime power. In any other row
+      the candidates fall into classes of one verdict each, which zm_clause
+      gives on one member of the class:
+      - n with two primes or more: the multiples of n, each multi_prime_divides,
+        as n | m and m has n's primes.
+      - n = q**j: the powers of q in block, each same_prime_powers (those below
+        n are the only candidates that n does not divide), and every other
+        multiple of n, multi_prime_divides, as it has a prime besides q.
     """
     if p is not None:
         a, n_star = n_split
@@ -101,12 +114,22 @@ def _decide(p, n: int, n_split, block: range) -> dict:
                                     nilpotence.zp_index(a, n_star, b, n_star, p)))
             b += 1
         return vs
-    offsets = range(-block.start % n, len(block), n)
-    if len(n_split) == 1 and block.start < n:
-        powers = map(n_split[0].__pow__, range(1, n.bit_length()))
-        offsets = itertools.chain(offsets, (x - block.start for x in powers
-                                            if x < n and x in block))
-    return {i: nilpotence.zm_clause(n, block[i], n_split) for i in offsets}
+    if not n_split:
+        return {i: nilpotence.zm_clause(n, m, n_split) for i, m in enumerate(block)}
+    multiples, powers = range(-block.start % n, len(block), n), []
+    if len(n_split) == 1:
+        x = q = n_split[0]
+        while x <= block[-1]:
+            if x >= block.start:
+                powers.append(x - block.start)
+            x *= q
+    # The multiples first: a power of q that n divides then takes the powers' verdict.
+    other = next((i for i in multiples if i not in powers), None)
+    vs = {} if other is None else dict.fromkeys(
+        multiples, nilpotence.zm_clause(n, block[other], n_split))
+    if powers:
+        vs.update(dict.fromkeys(powers, nilpotence.zm_clause(n, block[powers[0]], n_split)))
+    return vs
 
 
 def _agree(p, no, n: int, n_split, block: range, vs: dict, found: list) -> dict:
@@ -245,7 +268,7 @@ def cmd_scan(args) -> int:
     jobs = min(args.jobs or cpu, cpu, args.n_max * -(-m_count // _BLOCK)) if args.verify else 1
 
     try:  # opened last, so a rejected input leaves an existing file untouched
-        sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+        sink = open(args.out, "w", buffering=_OUT_BUFFER) if args.out else nullcontext(sys.stdout)
     except OSError as exc:
         print(f"error: cannot open --out: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -288,7 +311,8 @@ def cmd_scan(args) -> int:
             for i, key in keys.items():
                 cells[i] = f"{block[i]}{tails[key]}"
             row = head % n
-            out.write(lead + row + (sep + row).join(cells))
+            cells[0] = lead + row + cells[0]  # the row's one copy is its join
+            out.write((sep + row).join(cells))
             lead = sep
         if args.verify:
             summary["agreements"] = total - len(summary["disagreements"])

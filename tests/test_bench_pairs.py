@@ -102,3 +102,24 @@ def test_one_pair_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("part", ["src/nilcirc", "bench"])
+def test_tree_with_bytecode_cache_is_refused_before_any_run(tmp_path, monkeypatch, side, part):
+    trees = {name: tmp_path / name for name in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "src" / "nilcirc").mkdir(parents=True)
+        (tree / "bench").mkdir()
+    cache = trees[side] / part / "__pycache__"
+    cache.mkdir()
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", str(trees["parent"]), str(trees["change"]),
+        "--out", str(tmp_path / "out.json"), "--what", "x", "--trace-workload", "closed_scan",
+    ])
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert exc.value.code.startswith(f"{trees[side]} holds a bytecode cache, {cache}:")
+    assert not (tmp_path / "out.json").exists()
+    cache.rmdir()
+    assert bench_pairs.bytecode_caches(trees[side]) == []

@@ -386,12 +386,44 @@ def test_decide_zm_keeps_powers_of_the_prime_that_n_does_not_divide():
     assert cli._decide(None, 8, (2,), range(2, 18)) == {0: same, 2: same, 6: same, 14: same}
 
 
+@st.composite
+def _prime_power_row_blocks(draw):
+    """(q, n, block): a row n = q**j and up to 16 values of m that hold a power
+    q**k, both below 2**64; j and k are drawn independently, so q**k falls
+    below, at or above n."""
+    q = draw(st.sampled_from([2, 3, 5, 2**31 - 1]))
+    top = max(k for k in range(1, 64) if q**k < 2**64 - 16)
+    j, k, size = draw(st.integers(1, top)), draw(st.integers(1, top)), draw(st.integers(1, 16))
+    start = max(2, q**k - draw(st.integers(0, size - 1)))
+    return q, q**j, range(start, start + size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_block=_prime_power_row_blocks())
+def test_decide_prime_power_rows_at_large_powers(row_block):
+    # A row n = q**j splits its candidates into q's powers and the other
+    # multiples of n, one verdict each: checked on every cell by the per-prime
+    # route over Z_m, and by Theorem 1 cell by cell over Z_q.
+    q, n, block = row_block
+    dense = {i: v for i, m in enumerate(block)
+             if (v := nilpotence.decide_zm_via_primes(n, m).clause)
+             is not nilpotence.ZmClause.NOT_NILPOTENT}
+    assert cli._decide(None, n, (q,), block) == dense
+    split = _split(q)
+    dense = {i: v for i, m in enumerate(block)
+             if (v := nilpotence.zp_index(*split(n), *split(m), q)) is not None}
+    assert cli._decide(q, n, split(n), block) == dense
+
+
 @pytest.mark.parametrize("mode, bound", [
     (("--p", "2"), sum(-(-64 // (2 * numutil.p_adic_valuation(n, 2)[1])) for n in range(1, 65))),
-    (("--zm",), sum(64 // n + 7 for n in range(1, 65))),
+    # Row 1's 63 cells, then one verdict per class: one class in a row of two
+    # primes or more, two in a row n = q**j (q's powers and the other multiples).
+    (("--zm",), 63 + sum(1 + (len(nilpotence.prime_divisors(n)) == 1) for n in range(2, 65))),
 ])
 def test_scan_decides_only_candidate_cells(capsys, spy, mode, bound):
-    # A scan that fell back to deciding every cell (4096 here) fails this bound.
+    # A scan that fell back to deciding every cell (4096 here), or over Z_m every
+    # candidate (299 here), fails this bound.
     zp, zm = spy(nilpotence, "zp_index"), spy(nilpotence, "zm_clause")
     assert run(capsys, "scan", *mode, "--n-max", "64", "--m-max", "64", "--format", "csv")[0] == 0
     assert 0 < len(zp) + len(zm) <= bound
@@ -643,6 +675,29 @@ def test_scan_out_file(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "n,m,nilpotent,clause,oracle_index,agree"
     assert len(lines) == 1 + 3 * 2  # n in [1,3], m in [2,3]
+
+
+CLOSED_OUT = {
+    "closed_zm_400x400.json": ("--zm", "--n-max", "400", "--m-max", "400", "--format", "json"),
+    "closed_p2_250x300.csv": ("--p", "2", "--n-max", "250", "--m-max", "300", "--format", "csv"),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_OUT)
+def test_scan_out_file_digests(tmp_path, capsys, name):
+    # The two largest closed grids that the benchmark writes to --out, whose
+    # file gathers several blocks per write: its bytes are pinned, and are
+    # the bytes that stdout gets.
+    digests = _digests("closed_out.sha256")
+    assert set(digests) == set(CLOSED_OUT)
+    target = tmp_path / name
+    argv = ("scan", *CLOSED_OUT[name], "--jobs", "1")
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    data = target.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digests[name]
+    code, out, _ = run(capsys, *argv)
+    same = code == 0 and out.encode() == data  # not in the assert: pytest would diff 16 MB
+    assert same
 
 
 def test_scan_zm_without_verify_leaves_oracle_columns_empty(capsys):
