@@ -136,9 +136,11 @@ def _scalars(n: int, q: int) -> tuple[int, int, int]:
     return ((top * r).bit_length() + 15) // 16, s, r
 
 
-# Most bytes a batch of _walk doubles up to. A larger cap batches
-# lanes past about 128 bytes, which cost more than one product per power
-# (measured on CPython 3.11: caps of 1024 and 4096 slowed a Z_2 128x128 verify).
+# Most bytes a batch of _walk doubles up to. A larger cap batches lanes past
+# about 128 bytes, which cost more than one product per power (CPython 3.11:
+# caps of 1024 and 4096 slowed a Z_2 128x128 verify). Now that only nilpotent
+# T are walked, caps of 128 and 512 were no faster than 256 on the 28x28 verify
+# scans over Z_2, Z_3 and Z_m or on Z_2 128x128.
 _LANE_BYTES = 256
 
 
@@ -202,7 +204,14 @@ def _first_zero_power(a: CirculantElem, bound: int) -> int | None:
 def _block_walk(n: int, ms: range, q: int | None = None) -> list[int | None]:
     """[_first_zero_power(geom_sum(n, m, q or m), n) for m in ms], ms ascending.
 
-    Over Z_q: one layout, one _walk per distinct packed T, the memo key. Over Z_m
+    A power of zero makes every later power zero, so the walk to the bound n
+    finds a zero power exactly when T**n = 0. Each T therefore takes one _power
+    T**n first: a nonzero one gives None, and only a zero one is walked, T, T**2,
+    ... up to its first zero power. So a T that is not nilpotent costs at most
+    2*(n.bit_length() - 1) products, not the walk's n - 1, and every index found
+    is still the walk's.
+
+    Over Z_q: one layout, one _power per distinct packed T, the memo key. Over Z_m
     (q None) each cell is its own ring: bisection cuts the block where a cell's own
     slot width w changes, each part takes the layout of its largest modulus M, and
     each cell q swaps in r_q = ceil(2**s / q) for M's s. Exact, with top_q =
@@ -222,9 +231,10 @@ def _block_walk(n: int, ms: range, q: int | None = None) -> list[int | None]:
             # T packed: every slot low, the first extra slots high; each is in [0, q or m).
             extra, high, low = _geom_rule(n, m, q or m)
             t = low * ones + (high - low) * (ones & ((1 << slot * extra) - 1))
-            if q is None or t not in memo:  # over Z_m every cell walks, in its own ring
+            if q is None or t not in memo:  # over Z_m every cell is its own ring
                 cell = layout if q else layout[:2] + (-(-(1 << s) // m),) + layout[3:]
-                memo[t] = _walk(t, n, q or m, cell, n)
+                zero = not _power(t, n, n, q or m, cell)  # T**n = 0: T is nilpotent
+                memo[t] = _walk(t, n, q or m, cell, n) if zero else None
             found.append(memo[t])
         ms = ms[cut:]
     return found
@@ -275,12 +285,19 @@ def power(a: CirculantElem, k: int) -> CirculantElem:
     if k == 0:
         return identity(n, q)
     layout = _layout(n, q)
-    base = result = _pack(a.coeffs, layout[0])
+    result = _power(_pack(a.coeffs, layout[0]), k, n, q, layout)
+    return CirculantElem(n, q, tuple(_unpack(result, n, layout[0])))
+
+
+def _power(base: int, k: int, n: int, q: int, layout: tuple) -> int:
+    """base**k, k >= 1, for base packed by a layout that serves q (see _block_walk):
+    left-to-right square-and-multiply, each step a product and a _reduce."""
+    result = base
     for bit in bin(k)[3:]:
         result = _reduce(result * result, n, q, layout)
         if bit == "1":
             result = _reduce(result * base, n, q, layout)
-    return CirculantElem(n, q, tuple(_unpack(result, n, layout[0])))
+    return result
 
 
 def is_zero(a: CirculantElem) -> bool:

@@ -140,11 +140,13 @@ def test_min_nilpotent_index_equals_mul_walk_on_nilpotent_rich_elements(start):
 
 @st.composite
 def index_blocks(draw):
-    """(n, ms, q): n <= 64, q in {2, 3, 5, 7} or None for Z_m, and a block ms that
-    starts low, past q*n (a Z_q block then repeats its elements), past 1024, or
-    near 2**64 - 1. Over Z_m every cell is its own ring, so its blocks are short."""
+    """(n, ms, q): n <= 64, q in {2, 3, 4, 5, 7, 8, 9, 25} or None for Z_m, and a
+    block ms that starts low, past q*n (a Z_q block then repeats its elements),
+    past 1024, or near 2**64 - 1. The moduli 4, 8, 9 and 25 are no fields: their
+    rings hold nilpotent scalars. Over Z_m every cell is its own ring, so its
+    blocks are short."""
     n = draw(st.integers(1, 64))
-    q = draw(st.sampled_from((2, 3, 5, 7, None)))
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 25, None)))
     period = (q or 1) * n
     start = draw(st.one_of(
         st.integers(1 if q else 2, period + 1),
@@ -161,47 +163,94 @@ def index_blocks(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_geom_sum_indices_equal_min_nilpotent_index(spy, block):
     n, ms, q = block
-    walks = spy(circring, "_walk")
+    powers, walks = spy(circring, "_power"), spy(circring, "_walk")
     found = geom_sum_indices(n, ms, q)
+    powered = [(t, k) for (t, k, *_), _ in powers]
     walked = [t for (t, *_), _ in walks]
     elems = [circring.geom_sum(n, m, q or m) for m in ms]
-    assert found == [min_nilpotent_index(t, n) for t in elems]
-    # Each walk starts from the packed T, and each distinct T of a ring is walked once.
-    packed = [circring._pack(t.coeffs, circring._layout(n, t.modulus)[0]) for t in elems]
-    assert walked == (list(dict.fromkeys(packed)) if q else packed)
+    index = {t: min_nilpotent_index(t, n) for t in set(elems)}
+    assert found == [index[t] for t in elems]
+    # Each distinct T of a ring is raised to the power n once, from the packed T,
+    # and walked only when that power is zero: when the full walk finds an index.
+    cells = [(circring._pack(t.coeffs, circring._layout(n, t.modulus)[0]), t) for t in elems]
+    tried = list(dict(cells).items()) if q else cells
+    assert powered == [(t, n) for t, _ in tried]
+    assert walked == [t for t, a in tried if index[a] is not None]
 
 
 def test_geom_sum_indices_walk_each_distinct_element_once(spy):
     # T(n, m) over Z_2 depends only on m mod 2n, so a row of 1024 values of m
-    # holds at most 2n distinct elements. A walk's first product is t * t, t
-    # the packed T; the walk's later products hold two lanes or powers past T.
+    # holds at most 2n distinct elements: each is raised to the power n once,
+    # and each nilpotent one walked once.
     n, ms = 28, range(1025, 2049)
     w = circring._layout(n, 2)[0]
-    squares = {circring._pack(circring.geom_sum(n, m, 2).coeffs, w) ** 2 for m in ms}
-    reduces = spy(circring, "_reduce")
+    elems = {circring._pack(t.coeffs, w): t
+             for t in (circring.geom_sum(n, m, 2) for m in ms)}
+    powers, walks = spy(circring, "_power"), spy(circring, "_walk")
     found = geom_sum_indices(n, ms, 2)
-    starts = [prod for (prod, *_), _ in reduces if prod in squares]
+    powered = [(t, k) for (t, k, *_), _ in powers]
+    walked = [t for (t, *_), _ in walks]
     assert found == [min_nilpotent_index(circring.geom_sum(n, m, 2), n) for m in ms]
-    assert 0 < len(starts) == len(set(starts)) <= 2 * n
+    assert sorted(powered) == sorted((t, n) for t in elems) and len(elems) <= 2 * n
+    nilpotent = [t for t, a in elems.items() if min_nilpotent_index(a, n) is not None]
+    assert 0 < len(walked) == len(set(walked)) < len(elems)
+    assert sorted(walked) == sorted(nilpotent)
+
+
+def test_block_walk_settles_each_non_nilpotent_element_by_one_power(monkeypatch):
+    # A T that is not nilpotent is never walked: its only products are those of
+    # one square-and-multiply T**63, at most 2 * 6 of them, where a walk to the
+    # bound would take about 31 (two powers a product). The block's cells are
+    # told apart by _geom_rule, which the block walk calls once per cell.
+    n, ms = 63, range(1025, 2049)
+    log = []
+    for name in ("_geom_rule", "_reduce", "_walk"):
+        real = getattr(circring, name)
+        monkeypatch.setattr(circring, name,
+                            lambda *args, real=real, name=name: log.append(name) or real(*args))
+    found = geom_sum_indices(n, ms, 2)
+    monkeypatch.undo()
+    cells = []  # the calls of each cell, from its _geom_rule to the next one
+    for name in log:
+        if name == "_geom_rule":
+            cells.append([])
+        else:
+            cells[-1].append(name)
+    elems = [circring.geom_sum(n, m, 2) for m in ms]
+    assert found == [min_nilpotent_index(t, n) for t in elems]
+    first = {}  # each distinct T: the cell that settled it, and its index
+    for t, k, cell in zip(elems, found, cells):
+        first.setdefault(t, (cell, k))
+    settled = [cell for cell, k in first.values() if k is None]
+    assert len(settled) > 0 and any(k for _, k in first.values())
+    for cell in settled:
+        assert "_walk" not in cell and cell.count("_reduce") <= 2 * (63).bit_length(), cell
 
 
 def test_zm_walks_keep_their_own_slot_width_and_lanes(spy):
     # A Z_m block is cut where a cell's own slot width changes; each part takes
-    # one layout, from its largest modulus, and every cell's walk keeps the slot
-    # width and lane count of _layout(n, m).
+    # one layout, from its largest modulus. Every cell's power T**n keeps the
+    # slot width and lane count of _layout(n, m), and exactly the cells whose
+    # power is zero are walked, each in the layout of its power.
     parts = 0
     for n, ms in ((1, range(2, 1026)), (2, range(2, 1026)), (28, range(2, 1026)),
                   (64, range(2, 300)), (5, range(INT_LIMIT - 40, INT_LIMIT + 1))):
-        walk_calls, layout_calls = spy(circring, "_walk"), spy(circring, "_layout")
-        geom_sum_indices(n, ms)
-        walks = [(q, layout[0], layout[3]) for (_, _, q, layout, _), _ in walk_calls]
+        power_calls, walk_calls = spy(circring, "_power"), spy(circring, "_walk")
+        layout_calls = spy(circring, "_layout")
+        found = geom_sum_indices(n, ms)
+        powers = [(q, layout[0], layout[3]) for (_, _, _, q, layout), _ in power_calls]
         layouts = [q for (_, q), _ in layout_calls]
-        assert [q for q, _, _ in walks] == list(ms)
-        for q, w, lanes in walks:
+        assert [q for q, _, _ in powers] == list(ms)
+        assert {k for (_, k, *_), _ in power_calls} == {n}
+        for q, w, lanes in powers:
             own = circring._layout(n, q)
             assert (w, lanes) == (own[0], own[3]), (n, q)
-        widths = sorted({w for _, w, _ in walks})
-        assert layouts == [max(q for q, v, _ in walks if v == w) for w in widths]
+        assert [(t, q, layout) for (t, _, q, layout, _), _ in walk_calls] == [
+            (t, q, layout) for (t, _, _, q, layout), p in power_calls if p == 0]
+        assert [q for (_, _, q, _, _), _ in walk_calls] == [
+            m for m, k in zip(ms, found) if k is not None]
+        widths = sorted({w for _, w, _ in powers})
+        assert layouts == [max(q for q, v, _ in powers if v == w) for w in widths]
         parts += len(layouts)
     # Width changes at m = 16, 256 (n = 1); 10, 130 (n = 2); 4, 39, 588 (n = 28); 3, 32 (n = 64).
     assert parts == 3 + 3 + 4 + 3 + 1
