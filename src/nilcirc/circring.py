@@ -136,42 +136,31 @@ def _scalars(n: int, q: int) -> tuple[int, int, int]:
     return ((top * r).bit_length() + 15) // 16, s, r
 
 
-# Most bytes a batch of _walk doubles up to. A larger cap batches lanes past
-# about 128 bytes, which cost more than one product per power (CPython 3.11:
-# caps of 1024 and 4096 slowed a Z_2 128x128 verify). Now that only nilpotent
-# T are walked, caps of 128 and 512 were no faster than 256 on the 28x28 verify
-# scans over Z_2, Z_3 and Z_m or on Z_2 128x128.
-_LANE_BYTES = 256
-
-
 def _layout(n: int, q: int) -> tuple:
-    """Bytes per slot w, and the constants (w, s, r, lanes, half, even, low) of _reduce.
+    """Bytes per slot w, and the constants (w, s, r, half, even, low) of _reduce.
 
     A folded slot v is at most top = n*(q-1)**2 < 2**s / q, so r = ceil(2**s / q)
     gives floor(v*r / 2**s) = floor(v / q) (Granlund and Montgomery, "Division by
     invariant integers using multiplication", PLDI 1994). Two slots hold top*r.
-    lanes is the most lanes of 2n slots, a power of two, that fit in _LANE_BYTES,
-    or 1; a product of fewer lanes, like mul's, reduces alike (& keeps the shorter size).
     """
     w, s, r = _scalars(n, q)
-    lanes = 1 << max(0, (_LANE_BYTES // (2 * n * w)).bit_length() - 1)
-    return (w, s, r, lanes) + _masks(n, w, s, lanes)
+    return (w, s, r) + _masks(n, w, s)
 
 
 # Cached: they cost more than a small product; repeated mul and power on one ring reuse them.
 @functools.lru_cache(maxsize=64)
-def _masks(n: int, w: int, s: int, lanes: int) -> tuple:
-    """Over the lower n slots of each lane: half masks all; of two slots, even the lower, low a quotient."""
+def _masks(n: int, w: int, s: int) -> tuple:
+    """Of a product's 2n slots: half masks the lower n; of two of those, even the lower, low a quotient."""
     pairs = (n + 1) // 2
-    return tuple(int.from_bytes(lane.ljust(2 * n * w, b"\0") * lanes, "little") for lane in (
+    return tuple(int.from_bytes(mask, "little") for mask in (
         b"\xff" * (n * w),
         ((1 << 8 * w) - 1).to_bytes(2 * w, "little") * pairs,
         ((1 << (16 * w - s)) - 1).to_bytes(2 * w, "little") * pairs))
 
 
 def _reduce(prod: int, n: int, q: int, layout: tuple) -> int:
-    """Each lane of prod folded modulo x**n - 1 and reduced mod q: even slots, then odd, none carries."""
-    w, s, r, _, half, even, low = layout
+    """prod, of 2n slots, folded modulo x**n - 1 and reduced mod q: even slots, then odd, none carries."""
+    w, s, r, half, even, low = layout
     v = (prod & half) + ((prod >> 8 * n * w) & half)
     lo, hi = v & even, (v >> 8 * w) & even
     lo -= q * (((lo * r) >> s) & low)
@@ -217,8 +206,8 @@ def _block_walk(n: int, ms: range, q: int | None = None) -> list[int | None]:
     each cell q swaps in r_q = ceil(2**s / q) for M's s. Exact, with top_q =
     n*(q-1)**2: 2**s > top_M*M >= top_q*q, so floor(v*r_q / 2**s) = floor(v/q) for
     v <= top_q; (q-1)**2/q grows by over 1/2 per step and n*2**s/2 > top_q, so
-    top_q*r_q < top_M*2**s/M <= top_M*r_M < 2**(16w) for q < M. So M's slots, mask
-    and lanes serve q; under each q's own s, top*r grows with q: w does not fall.
+    top_q*r_q < top_M*2**s/M <= top_M*r_M < 2**(16w) for q < M. So M's slots and
+    masks serve q; under each q's own s, top*r grows with q: w does not fall.
     """
     found = []
     while ms:  # Z_q: the whole block; Z_m: the cells of ms[0]'s own w
@@ -240,38 +229,16 @@ def _block_walk(n: int, ms: range, q: int | None = None) -> list[int | None]:
     return found
 
 
-def _walk(batch: int, n: int, q: int, layout: tuple, bound: int) -> int | None:
-    """Smallest k in [1, bound] with a**k = 0, or None, for a packed in batch by a
-    _LANE_BYTES layout that serves q (see _block_walk); no power past bound is computed.
-
-    A batch packs a**(d-L+1), ..., a**d, lane i in 2n slots of w bytes from slot
-    2n*i, room for an unfolded product: one product by a**L and one _reduce give
-    the next L powers. L doubles (the new lanes join the batch; a**2L is its top
-    lane) while the batch fits in _LANE_BYTES, then stays; the last batch is cut
-    to bound - d lanes. A reduced lane is 0 exactly when its power is zero, and
-    a**j = 0 gives a**(j+1) = a**j * a = 0, so the zero lanes are a suffix: the
-    first zero power follows the ceil(bit_length / lane bits) nonzero lanes.
-    """
-    if not batch:
-        return 1
-    bits, most = 16 * n * layout[0], layout[3]  # bits of a lane, most lanes
-    step = batch
-    d = lanes = 1
-    while d < bound:
-        if bound - d < lanes:
-            lanes = bound - d
-            batch &= (1 << lanes * bits) - 1
-        new = _reduce(batch * step, n, q, layout)
-        if new.bit_length() <= (lanes - 1) * bits:
-            return d + 1 - (-new.bit_length() // bits)
-        d += lanes
-        if lanes < most:
-            batch |= new << lanes * bits
-            step = new >> (lanes - 1) * bits
-            lanes *= 2
-        else:
-            batch = new
-    return None
+def _walk(a: int, n: int, q: int, layout: tuple, bound: int) -> int | None:
+    """Smallest k in [1, bound] with a**k = 0, or None, for a packed by a layout
+    that serves q (see _block_walk): each power times a, reduced, is the next, and
+    no power past bound is computed. A reduced power is 0 exactly when it is zero."""
+    acc, k = a, 1
+    while acc:
+        if k == bound:
+            return None
+        acc, k = _reduce(acc * a, n, q, layout), k + 1
+    return k
 
 
 def power(a: CirculantElem, k: int) -> CirculantElem:

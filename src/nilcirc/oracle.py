@@ -1,8 +1,8 @@
 """Brute-force ground truth: the index search and the structural identities.
 
 The index search computes the powers T, T**2, ... up to the first zero one or
-the bound, and inspects each: circring walks them in packed batches, many
-powers per product, and computes none past the bound. min_nilpotent_index
+the bound, and inspects each: circring walks them packed, one product per
+power, and computes none past the bound. min_nilpotent_index
 searches one element and computes every power. geom_sum_indices searches T(n, m)
 for a whole block of m by one call of circring's block walk, which first raises
 each T to the bound n by square-and-multiply: a power of zero makes every later

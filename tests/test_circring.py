@@ -340,19 +340,13 @@ def unpacked(acc, a):
 
 
 def walk(spy, a, bound):
-    """_first_zero_power(a, bound), the lanes of each of its products, and the
-    powers a**2, a**3, ... that those lanes hold, in the order computed.
-
-    A batch holds no zero lane (the walk stops at one), so a product's top lane
-    is nonzero and its bit length gives its lanes.
-    """
+    """_first_zero_power(a, bound) and the powers a**2, a**3, ... that its
+    _reduce calls return, one power per call, in the order computed."""
     reduces = spy(circring, "_reduce")
     found = _first_zero_power(a, bound)
-    bits = 16 * a.order * _layout(a.order, a.modulus)[0]
-    lanes = [-(-prod.bit_length() // bits) for (prod, *_), _ in reduces]
-    computed = [unpacked(out >> (bits * i), a)
-                for (_, out), k in zip(reduces, lanes) for i in range(k)]
-    return found, lanes, computed
+    bits = 8 * a.order * _layout(a.order, a.modulus)[0]
+    assert all(out >> bits == 0 for _, out in reduces)  # n slots, nothing above
+    return found, [unpacked(out, a) for _, out in reduces]
 
 
 def never_zero(rng, n, q):
@@ -376,33 +370,14 @@ def test_powers_moduli_reach_every_slot_width():
 
 
 @pytest.mark.parametrize("q", POWERS_MODULI)
-def test_powers_yields_every_power(monkeypatch, spy, q):
-    # At every slot width: the default lane cap, and a cap of four lanes, whose
-    # 13 powers take one lane, then two, then four twice, then a last batch cut
-    # to one lane.
+def test_powers_yields_every_power(spy, q):
+    # At every slot width, the 12 products of a walk to 13 are a**2, ..., a**13.
     rng = random.Random(q)
     for n in POWERS_ORDERS:
         a = never_zero(rng, n, q)
-        expected = [power(a, k).coeffs for k in range(2, 14)]
-        for cap in (circring._LANE_BYTES, 4 * 2 * n * _layout(n, q)[0]):
-            monkeypatch.setattr(circring, "_LANE_BYTES", cap)
-            found, lanes, computed = walk(spy, a, 13)
-            assert found is None and [tuple(c) for c in computed] == expected
-        assert lanes == [1, 2, 4, 4, 1]
-
-
-@pytest.mark.parametrize("n, q, phases", [
-    (5, 2, [1, 2, 4, 8, 16, 16, 7]),  # 10-byte lanes: doubling up to 16, one full batch, a cut one
-    (16, 3, [1, 2, 4, 8, 8, 8, 8, 8, 8, 8, 3]),  # 32-byte lanes: 8 at most
-    (64, 2, [1, 2] + [2] * 30 + [1]),  # 128-byte lanes: 2 at most
-    (64, 3, [1] * 64),  # 256-byte lanes: one at a time, as one multiply per power
-])
-def test_lane_phases_at_the_default_cap(spy, n, q, phases):
-    assert circring._LANE_BYTES == 256  # the phases are worked out for this cap
-    a = never_zero(random.Random(n), n, q)
-    found, lanes, computed = walk(spy, a, sum(phases) + 1)
-    assert found is None and lanes == phases
-    assert [tuple(c) for c in computed] == [power(a, k).coeffs for k in range(2, len(computed) + 2)]
+        found, computed = walk(spy, a, 13)
+        assert found is None
+        assert [tuple(c) for c in computed] == [power(a, k).coeffs for k in range(2, 14)]
 
 
 @st.composite
@@ -418,12 +393,12 @@ def walk_start(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_powers_match_power(spy, a, bound):
-    found, _, computed = walk(spy, a, bound)
+    found, computed = walk(spy, a, bound)
     powers = [list(power(a, k).coeffs) for k in range(2, len(computed) + 2)]
     assert computed == powers
     zeros = [k for k, c in enumerate([a.coeffs] + powers, 1) if not any(c) and k <= bound]
     assert found == (zeros[0] if zeros else None)
-    assert len(computed) <= bound - 1
+    assert len(computed) == (found or bound) - 1
 
 
 # The reduction's edge: every coefficient q - 1 makes each folded slot of the
@@ -434,7 +409,7 @@ def test_reduce_at_the_slot_bound_matches_dense(spy, q, n):
     top = CirculantElem(n, q, (q - 1,) * n)
     dense = to_dense(top)
     assert to_dense(mul(top, top)) == _dense_matmul(dense, dense, q)
-    found, _, computed = walk(spy, top, 7)
+    found, computed = walk(spy, top, 7)
     row = _dense_matmul([dense[0]], dense, q)
     for acc in computed:
         assert acc == row[0]
@@ -456,25 +431,6 @@ def test_reduce_is_exact_on_the_top_slot_values(q):
             packed = sum(v << (bits * j) for j, v in enumerate(slots))
             expected = sum(v % q << (bits * j) for j, v in enumerate(slots))
             assert _reduce(packed, n, q, layout) == expected
-
-
-@pytest.mark.parametrize("q", (2, 3, 251, 2**32 - 5, 2**64 - 1))
-def test_reduce_folds_and_reduces_every_lane(monkeypatch, q):
-    # Lanes of 2n slots; lane i holds unfolded slot values whose folds reach the
-    # bound n*(q-1)**2, shifted by i so that no two lanes are alike.
-    monkeypatch.setattr(circring, "_LANE_BYTES", 1 << 12)
-    for n in (1, 2, 3, 8, 11):
-        layout = _layout(n, q)
-        lanes, bits, top = layout[3], 8 * layout[0], n * (q - 1) ** 2
-        assert lanes >= 2
-        packed = expected = 0
-        for i in range(lanes):
-            folded = [top - (i + j) % (top + 1) for j in range(n)]
-            high = [min(v, top // 2) for v in folded[: n - 1]] + [0]
-            slots = [v - h for v, h in zip(folded, high)] + high
-            packed += sum(v << (bits * (2 * n * i + j)) for j, v in enumerate(slots))
-            expected += sum(v % q << (bits * (2 * n * i + j)) for j, v in enumerate(folded))
-        assert _reduce(packed, n, q, layout) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +485,20 @@ def test_zm_block_walk_equals_each_cells_own_walk(block):
 
 
 @pytest.mark.parametrize("big", (3, 40, 4093, 2**32 - 5, 2**64 - 1))
-def test_reduce_is_exact_at_the_top_under_a_larger_moduluss_layout(monkeypatch, big):
+def test_reduce_is_exact_at_the_top_under_a_larger_moduluss_layout(big):
     # Over Z_m, _block_walk reduces mod q with the layout of a larger modulus M
-    # (slots, shift s, masks, lanes) and q's own reciprocal for that s. Lane 0
-    # counts down from top_q = n*(q-1)**2, lane 1 in steps of q from the largest
+    # (slots, shift s, masks) and q's own reciprocal for that s. One call counts
+    # down from top_q = n*(q-1)**2, the other in steps of q from the largest
     # value at most top_q congruent to q - 1; q spans smaller slot widths and M's.
-    monkeypatch.setattr(circring, "_LANE_BYTES", 1 << 12)
     for n in (1, 2, 3, 11, 48):
         layout = _layout(n, big)
         bits, s = 8 * layout[0], layout[1]
-        assert layout[3] >= 2
         own = max([2] + [c for c in width_changes(n) if c <= big])  # smallest of M's width
         for q in {2, 3, own, big // 2 + 1, big - 1, big}:
             cell = layout[:2] + (-(-(1 << s) // q),) + layout[3:]
             top = n * (q - 1) ** 2
             worst = top - (top + 1) % q
-            lanes = [[top - j for j in range(n)], [max(worst - q * j, 0) for j in range(n)]]
-            packed = expected = 0
-            for i, lane in enumerate(lanes):
-                packed += sum(v << bits * (2 * n * i + j) for j, v in enumerate(lane))
-                expected += sum(v % q << bits * (2 * n * i + j) for j, v in enumerate(lane))
-            assert _reduce(packed, n, q, cell) == expected, (n, q)
+            for slots in ([top - j for j in range(n)], [max(worst - q * j, 0) for j in range(n)]):
+                packed = sum(v << bits * j for j, v in enumerate(slots))
+                expected = sum(v % q << bits * j for j, v in enumerate(slots))
+                assert _reduce(packed, n, q, cell) == expected, (n, q)

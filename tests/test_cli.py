@@ -177,8 +177,8 @@ def _digests(name: str) -> dict:
 
 
 def test_scan_verify_48x48_digests(capsys):
-    # At the bound n <= 48 the oracle's products take one to eight lanes over
-    # each ring: every lane count that a walk of such a row reaches.
+    # At the bound n <= 48 over each ring, every nilpotent T is walked one
+    # product per power to its index, which the CSV's digest pins.
     digests = _digests("verify_48x48.sha256")
     assert set(digests) == set(VERIFY_48)
     for name, ring in VERIFY_48.items():

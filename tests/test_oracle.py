@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -51,23 +50,19 @@ def test_oracle_self_consistency():
     (circring.geom_sum(5, 2, 2), 5, None),
     (circring.geom_sum(64, 2, 2), 64, 64),
     (circring.geom_sum(28, 5, 3), 28, None),
-    (circring.identity(3, 2), 200, None),  # many full batches at the most lanes
-    (circring.identity(64, 3), 64, None),  # one lane: one product per power
+    (circring.identity(3, 2), 200, None),  # a long walk: 199 products
+    (circring.identity(64, 3), 64, None),
 ])
 def test_min_nilpotent_index_step_count(spy, elem, bound, index):
+    # One product and one _reduce per power: every power up to the answer, none
+    # past the bound, each the power before times a.
     reduces = spy(circring, "_reduce")
     assert min_nilpotent_index(elem, bound) == index
-    # The lanes (powers) of each product: its top lane is never zero.
-    bits = 16 * elem.order * circring._layout(elem.order, elem.modulus)[0]
-    lanes = [-(-prod.bit_length() // bits) for (prod, *_), _ in reduces]
-    # Every power up to the answer is computed, none past the bound.
-    assert (index or bound) - 1 <= sum(lanes) <= bound - 1
-    if index is None:
-        assert sum(lanes) == bound - 1
-    if index == 1:
-        assert lanes == []
-    most = circring._layout(elem.order, elem.modulus)[3]
-    assert len(lanes) <= math.ceil(math.log2(bound)) + math.ceil(bound / most)
+    assert len(reduces) == (index or bound) - 1
+    a = before = circring._pack(elem.coeffs, circring._layout(elem.order, elem.modulus)[0])
+    for (prod, *_), out in reduces:
+        assert prod == before * a
+        before = out
 
 
 def _mul_walk(a, bound):
@@ -227,30 +222,29 @@ def test_block_walk_settles_each_non_nilpotent_element_by_one_power(monkeypatch)
         assert "_walk" not in cell and cell.count("_reduce") <= 2 * (63).bit_length(), cell
 
 
-def test_zm_walks_keep_their_own_slot_width_and_lanes(spy):
+def test_zm_walks_keep_their_own_slot_width(spy):
     # A Z_m block is cut where a cell's own slot width changes; each part takes
     # one layout, from its largest modulus. Every cell's power T**n keeps the
-    # slot width and lane count of _layout(n, m), and exactly the cells whose
-    # power is zero are walked, each in the layout of its power.
+    # slot width of _layout(n, m), and exactly the cells whose power is zero
+    # are walked, each in the layout of its power.
     parts = 0
     for n, ms in ((1, range(2, 1026)), (2, range(2, 1026)), (28, range(2, 1026)),
                   (64, range(2, 300)), (5, range(INT_LIMIT - 40, INT_LIMIT + 1))):
         power_calls, walk_calls = spy(circring, "_power"), spy(circring, "_walk")
         layout_calls = spy(circring, "_layout")
         found = geom_sum_indices(n, ms)
-        powers = [(q, layout[0], layout[3]) for (_, _, _, q, layout), _ in power_calls]
+        powers = [(q, layout[0]) for (_, _, _, q, layout), _ in power_calls]
         layouts = [q for (_, q), _ in layout_calls]
-        assert [q for q, _, _ in powers] == list(ms)
+        assert [q for q, _ in powers] == list(ms)
         assert {k for (_, k, *_), _ in power_calls} == {n}
-        for q, w, lanes in powers:
-            own = circring._layout(n, q)
-            assert (w, lanes) == (own[0], own[3]), (n, q)
+        for q, w in powers:
+            assert w == circring._layout(n, q)[0], (n, q)
         assert [(t, q, layout) for (t, _, q, layout, _), _ in walk_calls] == [
             (t, q, layout) for (t, _, _, q, layout), p in power_calls if p == 0]
         assert [q for (_, _, q, _, _), _ in walk_calls] == [
             m for m, k in zip(ms, found) if k is not None]
-        widths = sorted({w for _, w, _ in powers})
-        assert layouts == [max(q for q, v, _ in powers if v == w) for w in widths]
+        widths = sorted({w for _, w in powers})
+        assert layouts == [max(q for q, v in powers if v == w) for w in widths]
         parts += len(layouts)
     # Width changes at m = 16, 256 (n = 1); 10, 130 (n = 2); 4, 39, 588 (n = 28); 3, 32 (n = 64).
     assert parts == 3 + 3 + 4 + 3 + 1
