@@ -136,23 +136,20 @@ def _scalars(n: int, q: int) -> tuple[int, int, int]:
     return ((top * r).bit_length() + 15) // 16, s, r
 
 
+# Cached: a layout costs more than a small product; repeated mul and power on one ring reuse it.
+@functools.lru_cache(maxsize=64)
 def _layout(n: int, q: int) -> tuple:
-    """Bytes per slot w, and the constants (w, s, r, half, even, low) of _reduce.
+    """Bytes per slot w, and the constants (w, s, r, half, even, low) of _reduce:
+    of a product's 2n slots, half masks the lower n; of two of those, even masks
+    the lower, and low a quotient.
 
     A folded slot v is at most top = n*(q-1)**2 < 2**s / q, so r = ceil(2**s / q)
     gives floor(v*r / 2**s) = floor(v / q) (Granlund and Montgomery, "Division by
     invariant integers using multiplication", PLDI 1994). Two slots hold top*r.
     """
     w, s, r = _scalars(n, q)
-    return (w, s, r) + _masks(n, w, s)
-
-
-# Cached: they cost more than a small product; repeated mul and power on one ring reuse them.
-@functools.lru_cache(maxsize=64)
-def _masks(n: int, w: int, s: int) -> tuple:
-    """Of a product's 2n slots: half masks the lower n; of two of those, even the lower, low a quotient."""
     pairs = (n + 1) // 2
-    return tuple(int.from_bytes(mask, "little") for mask in (
+    return (w, s, r) + tuple(int.from_bytes(mask, "little") for mask in (
         b"\xff" * (n * w),
         ((1 << 8 * w) - 1).to_bytes(2 * w, "little") * pairs,
         ((1 << (16 * w - s)) - 1).to_bytes(2 * w, "little") * pairs))

@@ -53,14 +53,6 @@ _CSV_COLUMNS = {
     "zm": ("n", "m", "nilpotent", "clause", "oracle_index", "agree"),
 }
 
-# Per format: a cell's text up to m, after n is filled in; the text of each
-# column after m; the cell's end; and the text between two cells. A JSON cell
-# is laid out as json.dumps(report, indent=2) lays out each item of "cells".
-_TEMPLATES = {
-    "csv": ("%d,", ",{text}", "\n", ""),
-    "json": ('    {\n      "n": %d,\n      "m": ', ',\n      "{key}": {text}', "\n    }", ",\n"),
-}
-
 
 # ---------------------------------------------------------------------------
 # scan blocks: each row n is split once per scan, and over Z_p Theorem 1 is
@@ -188,21 +180,24 @@ def _watch_parent() -> None:
 # rendering
 
 
-def _tail(key, fmt: str, columns: tuple, no) -> str:
-    """A cell's text after m, from its key: the verdict, or on a verified scan
-    (verdict, oracle index, agree). no is the verdict of a cell that is not
-    nilpotent. As CSV, booleans are lowercase and absent values empty.
+def _tail(key, fmt: str, columns: tuple, no) -> tuple[str, str]:
+    """A cell's text before m, with %d for n, and after m, from its key: the
+    verdict, or on a verified scan (verdict, oracle index, agree). no is the
+    verdict of a cell that is not nilpotent. As JSON, the cell is laid out as
+    json.dumps(report, indent=2) lays out each item of "cells"; as CSV, booleans
+    are lowercase and absent values empty.
     """
     verdict, found, agree = key if isinstance(key, tuple) else (key, None, None)
-    fields = {"nilpotent": verdict is not no, columns[3]: getattr(verdict, "value", verdict),
-              "oracle_index": found, "agree": agree}
-    _, column, end, _ = _TEMPLATES[fmt]
-    tail = ""
-    for name in columns[2:]:
-        value = fields[name]
-        text = json.dumps(value) if fmt == "json" or isinstance(value, bool) else value
-        tail += column.format(key=name, text="" if text is None else text)
-    return tail + end
+    fields = {"n": "@n", "m": "@m", "nilpotent": verdict is not no,
+              columns[3]: getattr(verdict, "value", verdict), "oracle_index": found, "agree": agree}
+    cell = {name: fields[name] for name in columns}
+    if fmt == "json":
+        quote, text = json.dumps, "    " + json.dumps(cell, indent=2).replace("\n", "\n    ")
+    else:
+        quote, text = str, ",".join("" if v is None else json.dumps(v) if isinstance(v, bool)
+                                    else str(v) for v in cell.values()) + "\n"
+    head, tail = text.split(quote("@m"))
+    return head.replace(quote("@n"), "%d"), tail
 
 
 def _render_scan_human(par: dict, s: dict) -> str:
@@ -289,14 +284,13 @@ def cmd_scan(args) -> int:
             # The bytes of json.dumps(report, indent=2), framed around the cells.
             out.write(json.dumps({"parameters": parameters}, indent=2)[:-2]
                       + ',\n  "cells": [\n')
-        head, _, _, sep = _TEMPLATES.get(args.format, _TEMPLATES["csv"])
         # A block's cell texts start as m's with the default key's (the first
         # block's are kept) and take the other keys' texts, each rendered once.
-        tails = {}
+        tails, sep, lead = {}, ",\n" if args.format == "json" else "", ""
         if args.format != "human":  # which renders no cell
-            cell = "%d" + _tail((no, None, True) if args.verify else no, args.format, columns, no)
+            head, tail = _tail((no, None, True) if args.verify else no, args.format, columns, no)
+            cell = "%d" + tail
             first = list(map(cell.__mod__, ms[:_BLOCK]))
-        lead = ""
         for n, n_split, block, vs, found in pieces:
             keys = _agree(p, no, n, n_split, block, vs, found) if args.verify else vs
             summary["nilpotent"] += len(vs)
@@ -306,7 +300,7 @@ def cmd_scan(args) -> int:
             if args.format == "human":
                 continue
             for key in set(keys.values()).difference(tails):
-                tails[key] = _tail(key, args.format, columns, no)
+                tails[key] = _tail(key, args.format, columns, no)[1]
             cells = list(map(cell.__mod__, block)) if block.start > m_lo else first.copy()
             for i, key in keys.items():
                 cells[i] = f"{block[i]}{tails[key]}"

@@ -186,6 +186,18 @@ def test_power_packs_once_and_unpacks_once(spy, q):
             "_pack": 1, "_unpack": 1, "mul": 0}, k
 
 
+def test_mul_and_power_on_one_ring_compute_its_layout_once(spy):
+    # _layout is cached per (n, q): the first product builds it, the rest reuse it
+    circring._layout.cache_clear()
+    scalars = spy(circring, "_scalars")
+    a = geom_sum(12, 5, 7)
+    product = a
+    for _ in range(10):
+        product = mul(product, a)
+    assert power(a, 11) == product and power(a, 3) == mul(mul(a, a), a)
+    assert len(scalars) == 1
+
+
 def test_is_zero_examples():
     assert is_zero(geom_sum(3, 6, 2))
     assert not is_zero(identity(4, 3))

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import nilcirc
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_readme_library_snippet_runs():
@@ -22,3 +24,10 @@ def test_all_exports_resolve():
     namespace = {}
     exec("from nilcirc import *", namespace)
     assert set(nilcirc.__all__) <= set(namespace)
+
+
+def test_readme_names_the_python_versions_that_ci_runs():
+    matrix = re.search(r"python-version: \[(.*?)\]", WORKFLOW.read_text()).group(1)
+    versions = re.findall(r'"([^"]+)"', matrix)
+    assert f"CI runs tier-1 on Python {versions[0]} to {versions[-1]}" in " ".join(
+        README.read_text().split())
