@@ -139,9 +139,9 @@ def _scalars(n: int, q: int) -> tuple[int, int, int]:
 # Cached: a layout costs more than a small product; repeated mul and power on one ring reuse it.
 @functools.lru_cache(maxsize=64)
 def _layout(n: int, q: int) -> tuple:
-    """Bytes per slot w, and the constants (w, s, r, half, even, low) of _reduce:
-    of a product's 2n slots, half masks the lower n; of two of those, even masks
-    the lower, and low a quotient.
+    """Bytes per slot w, and the constants (w, s, r, half, even, low, slot, fold) of
+    _reduce: of a product's 2n slots, half masks and fold = 8*n*w shifts out the
+    lower n; of two of those, even masks and slot = 8*w shifts out the lower; low a quotient.
 
     A folded slot v is at most top = n*(q-1)**2 < 2**s / q, so r = ceil(2**s / q)
     gives floor(v*r / 2**s) = floor(v / q) (Granlund and Montgomery, "Division by
@@ -152,17 +152,18 @@ def _layout(n: int, q: int) -> tuple:
     return (w, s, r) + tuple(int.from_bytes(mask, "little") for mask in (
         b"\xff" * (n * w),
         ((1 << 8 * w) - 1).to_bytes(2 * w, "little") * pairs,
-        ((1 << (16 * w - s)) - 1).to_bytes(2 * w, "little") * pairs))
+        ((1 << (16 * w - s)) - 1).to_bytes(2 * w, "little") * pairs)) + (8 * w, 8 * n * w)
 
 
-def _reduce(prod: int, n: int, q: int, layout: tuple) -> int:
-    """prod, of 2n slots, folded modulo x**n - 1 and reduced mod q: even slots, then odd, none carries."""
-    w, s, r, half, even, low = layout
-    v = (prod & half) + ((prod >> 8 * n * w) & half)
-    lo, hi = v & even, (v >> 8 * w) & even
+def _reduce(prod: int, q: int, layout: tuple) -> int:
+    """prod, a product of two n-slot ints, folded modulo x**n - 1 and reduced mod q:
+    even slots, then odd, none carries. prod < 2**(2*fold): its upper n need no mask."""
+    _, s, r, half, even, low, slot, fold = layout
+    v = (prod & half) + (prod >> fold)
+    lo, hi = v & even, (v >> slot) & even
     lo -= q * (((lo * r) >> s) & low)
     hi -= q * (((hi * r) >> s) & low)
-    return lo | (hi << 8 * w)
+    return lo | (hi << slot)
 
 
 def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
@@ -177,25 +178,24 @@ def mul(a: CirculantElem, b: CirculantElem) -> CirculantElem:
     n, q = a.order, a.modulus
     layout = _layout(n, q)
     prod = _pack(a.coeffs, layout[0]) * _pack(b.coeffs, layout[0])
-    return CirculantElem(n, q, tuple(_unpack(_reduce(prod, n, q, layout), n, layout[0])))
+    return CirculantElem(n, q, tuple(_unpack(_reduce(prod, q, layout), n, layout[0])))
 
 
 def _first_zero_power(a: CirculantElem, bound: int) -> int | None:
     """Smallest k in [1, bound] with a**k = 0, or None: _walk on a packed."""
-    n, q = a.order, a.modulus
-    layout = _layout(n, q)
-    return _walk(_pack(a.coeffs, layout[0]), n, q, layout, bound)
+    layout = _layout(a.order, a.modulus)
+    return _walk(_pack(a.coeffs, layout[0]), a.modulus, layout, bound)
 
 
 def _block_walk(n: int, ms: range, q: int | None = None) -> list[int | None]:
     """[_first_zero_power(geom_sum(n, m, q or m), n) for m in ms], ms ascending.
 
-    A power of zero makes every later power zero, so the walk to the bound n
-    finds a zero power exactly when T**n = 0. Each T therefore takes one _power
-    T**n first: a nonzero one gives None, and only a zero one is walked, T, T**2,
-    ... up to its first zero power. So a T that is not nilpotent costs at most
-    2*(n.bit_length() - 1) products, not the walk's n - 1, and every index found
-    is still the walk's.
+    A power of zero makes every later power zero, so the walk to the bound n finds
+    a zero power only if T**(2**k) = 0, 2**k the least power of two >= n. Each T
+    first takes the k = ceil(log2 n) squarings of _power T**(2**k): a nonzero one
+    gives None, and only a zero one is walked, T, T**2, ... to its first zero power
+    or n. So a T that is not nilpotent costs k products, not the walk's n - 1; every
+    index is the walk's, and one in (n, 2**k], as over Z_(p**e), reads None.
 
     Over Z_q: one layout, one _power per distinct packed T, the memo key. Over Z_m
     (q None) each cell is its own ring: bisection cuts the block where a cell's own
@@ -219,14 +219,14 @@ def _block_walk(n: int, ms: range, q: int | None = None) -> list[int | None]:
             t = low * ones + (high - low) * (ones & ((1 << slot * extra) - 1))
             if q is None or t not in memo:  # over Z_m every cell is its own ring
                 cell = layout if q else layout[:2] + (-(-(1 << s) // m),) + layout[3:]
-                zero = not _power(t, n, n, q or m, cell)  # T**n = 0: T is nilpotent
-                memo[t] = _walk(t, n, q or m, cell, n) if zero else None
+                zero = not _power(t, 1 << (n - 1).bit_length(), q or m, cell)  # T**(2**k) = 0
+                memo[t] = _walk(t, q or m, cell, n) if zero else None
             found.append(memo[t])
         ms = ms[cut:]
     return found
 
 
-def _walk(a: int, n: int, q: int, layout: tuple, bound: int) -> int | None:
+def _walk(a: int, q: int, layout: tuple, bound: int) -> int | None:
     """Smallest k in [1, bound] with a**k = 0, or None, for a packed by a layout
     that serves q (see _block_walk): each power times a, reduced, is the next, and
     no power past bound is computed. A reduced power is 0 exactly when it is zero."""
@@ -234,7 +234,7 @@ def _walk(a: int, n: int, q: int, layout: tuple, bound: int) -> int | None:
     while acc:
         if k == bound:
             return None
-        acc, k = _reduce(acc * a, n, q, layout), k + 1
+        acc, k = _reduce(acc * a, q, layout), k + 1
     return k
 
 
@@ -249,18 +249,18 @@ def power(a: CirculantElem, k: int) -> CirculantElem:
     if k == 0:
         return identity(n, q)
     layout = _layout(n, q)
-    result = _power(_pack(a.coeffs, layout[0]), k, n, q, layout)
+    result = _power(_pack(a.coeffs, layout[0]), k, q, layout)
     return CirculantElem(n, q, tuple(_unpack(result, n, layout[0])))
 
 
-def _power(base: int, k: int, n: int, q: int, layout: tuple) -> int:
+def _power(base: int, k: int, q: int, layout: tuple) -> int:
     """base**k, k >= 1, for base packed by a layout that serves q (see _block_walk):
-    left-to-right square-and-multiply, each step a product and a _reduce."""
+    left-to-right square-and-multiply, a product and a _reduce a step; k = 2**j is j squarings."""
     result = base
     for bit in bin(k)[3:]:
-        result = _reduce(result * result, n, q, layout)
+        result = _reduce(result * result, q, layout)
         if bit == "1":
-            result = _reduce(result * base, n, q, layout)
+            result = _reduce(result * base, q, layout)
     return result
 
 

@@ -11,6 +11,7 @@ import collections
 import functools
 import itertools
 import json
+import math
 import os
 import random
 import signal
@@ -124,20 +125,23 @@ def _decide(p, n: int, n_split, block: range) -> dict:
     return vs
 
 
-def _agree(p, no, n: int, n_split, block: range, vs: dict, found: list) -> dict:
+def _agree(p, no, n: int, n_split, block: range, vs: dict, found: list, brackets: dict) -> dict:
     """(verdict, oracle index, agree) by offset for the cells of row n and block
     whose verdict is not no or whose oracle index found[i] is not None.
 
     A cell agrees when both sides find it not nilpotent, or both find it
     nilpotent and the oracle's index lies in the closed form's bracket: (v, v)
     over Z_p, v the index reported; over Z_m nilpotence.zm_index_bracket, which
-    is Theorem 1 at each prime of n (n_split), and (1, 1) in row n = 1.
+    is Theorem 1 at each prime of n (n_split), and (1, 1) in row n = 1. At a
+    nilpotent cell it depends on m only through v_p(m) at those primes, which
+    gcd(m, rad(n)**E) encodes for 2**E > m: brackets keeps one per n and gcd.
     """
-    keys = {}
+    keys, part = {}, p is None and math.prod(n_split) ** block[-1].bit_length()
     for i, k in enumerate(found):
         if (v := vs.get(i, no)) is not no or k is not None:
-            bracket = v is not no and k is not None and (
-                (v, v) if p is not None else nilpotence.zm_index_bracket(n, block[i], n_split))
+            bracket = v is not no and k is not None and ((v, v) if p is not None else (
+                brackets.get(key := (n, math.gcd(block[i], part)))
+                or brackets.setdefault(key, nilpotence.zm_index_bracket(n, block[i], n_split))))
             keys[i] = v, k, bool(bracket) and bracket[0] <= k <= bracket[1]
     return keys
 
@@ -286,13 +290,13 @@ def cmd_scan(args) -> int:
                       + ',\n  "cells": [\n')
         # A block's cell texts start as m's with the default key's (the first
         # block's are kept) and take the other keys' texts, each rendered once.
-        tails, sep, lead = {}, ",\n" if args.format == "json" else "", ""
+        tails, brackets, sep, lead = {}, {}, ",\n" if args.format == "json" else "", ""
         if args.format != "human":  # which renders no cell
             head, tail = _tail((no, None, True) if args.verify else no, args.format, columns, no)
             cell = "%d" + tail
             first = list(map(cell.__mod__, ms[:_BLOCK]))
         for n, n_split, block, vs, found in pieces:
-            keys = _agree(p, no, n, n_split, block, vs, found) if args.verify else vs
+            keys = _agree(p, no, n, n_split, block, vs, found, brackets) if args.verify else vs
             summary["nilpotent"] += len(vs)
             if args.verify:
                 summary["disagreements"] += [{"n": n, "m": block[i]}
@@ -404,11 +408,9 @@ def _random_elem(rng: random.Random, n: int, q: int) -> circring.CirculantElem:
     k the bits of q - 1, drawn again while it is q or above (exact at any q)."""
     draw = functools.partial(rng.getrandbits, (q - 1).bit_length())
     coeffs = []
-    for _ in range(n):
-        c = draw()
-        while c >= q:
-            c = draw()
-        coeffs.append(c)
+    while len(coeffs) < n:
+        if (c := draw()) < q:
+            coeffs.append(c)
     return circring.CirculantElem(n, q, tuple(coeffs))
 
 

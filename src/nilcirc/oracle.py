@@ -1,15 +1,13 @@
 """Brute-force ground truth: the index search and the structural identities.
 
 The index search computes the powers T, T**2, ... up to the first zero one or
-the bound, and inspects each: circring walks them packed, one product per
-power, and computes none past the bound. min_nilpotent_index
-searches one element and computes every power. geom_sum_indices searches T(n, m)
-for a whole block of m by one call of circring's block walk, which first raises
-each T to the bound n by square-and-multiply: a power of zero makes every later
-power zero, so only a T with T**n = 0 has a zero power to find, and only that T
-is walked. A nonzero T**n answers "not nilpotent" by ring arithmetic alone, and
-every index still comes from the walk. No code is shared with the closed-form
-side beyond the ring primitives themselves.
+the bound, and inspects each: circring walks them packed, one product per power,
+and computes none past the bound. min_nilpotent_index searches one element.
+geom_sum_indices searches T(n, m) for a whole block of m by circring's block
+walk, which first takes the ceil(log2 n) squarings of T**(2**k), 2**k >= n: a
+nonzero one answers "not nilpotent" by ring arithmetic alone, and every index
+still comes from the walk. No code is shared with the closed-form side beyond
+the ring primitives themselves.
 """
 
 from __future__ import annotations
@@ -30,9 +28,9 @@ def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
 def geom_sum_indices(n: int, ms: range, q: Optional[int] = None) -> list[Optional[int]]:
     """[min_nilpotent_index(geom_sum(n, m, q), n) for m in ms]; q None is Z_m, q = m.
 
-    Each distinct T of a ring is raised to the power n once; only the T with
-    T**n = 0 are walked to their first zero power, and every other cell reads
-    None (see circring._block_walk).
+    Each distinct T of a ring takes the ceil(log2 n) squarings of T**(2**k),
+    2**k >= n, once; only the T with T**(2**k) = 0 are walked, to their first
+    zero power or n, and every other cell reads None (see circring._block_walk).
 
     The bound n is sound over a field Z_p, where a nilpotent n x n matrix has
     index at most n, but not over every Z_m: CirculantElem(1, 4, (2,)) has index

@@ -429,6 +429,21 @@ def test_reduce_at_the_slot_bound_matches_dense(spy, q, n):
     assert len(computed) == (6 if found is None else found - 1)
 
 
+@pytest.mark.parametrize("q", POWERS_MODULI + (2**64 - 1,))
+def test_reduce_of_two_top_operands_matches_dense_at_every_slot_width(q):
+    # Both operands hold q - 1 in every slot: the product is as large as two
+    # n-slot ints make it, and _reduce folds its upper n slots in unmasked, each
+    # folded slot exactly n*(q-1)**2. These moduli and orders reach every width.
+    for n in POWERS_ORDERS:
+        layout = _layout(n, q)
+        top = CirculantElem(n, q, (q - 1,) * n)
+        packed = circring._pack(top.coeffs, layout[0])
+        reduced = _reduce(packed * packed, q, layout)
+        dense = to_dense(top)
+        assert reduced >> 8 * n * layout[0] == 0, (n, q)
+        assert unpacked(reduced, top) == _dense_matmul([dense[0]], dense, q)[0], (n, q)
+
+
 @pytest.mark.parametrize("q", list(range(2, 40)) + [2**32 - 5, 2**64 - 59, 2**64 - 1])
 def test_reduce_is_exact_on_the_top_slot_values(q):
     # A reciprocal too short errs first on the largest slot values congruent to
@@ -442,7 +457,7 @@ def test_reduce_is_exact_on_the_top_slot_values(q):
             slots = [max(v, 0) for v in slots]
             packed = sum(v << (bits * j) for j, v in enumerate(slots))
             expected = sum(v % q << (bits * j) for j, v in enumerate(slots))
-            assert _reduce(packed, n, q, layout) == expected
+            assert _reduce(packed, q, layout) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -513,4 +528,4 @@ def test_reduce_is_exact_at_the_top_under_a_larger_moduluss_layout(big):
             for slots in ([top - j for j in range(n)], [max(worst - q * j, 0) for j in range(n)]):
                 packed = sum(v << bits * j for j, v in enumerate(slots))
                 expected = sum(v % q << bits * j for j, v in enumerate(slots))
-                assert _reduce(packed, n, q, cell) == expected, (n, q)
+                assert _reduce(packed, q, cell) == expected, (n, q)

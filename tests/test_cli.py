@@ -467,6 +467,30 @@ def test_scan_zm_factors_m_only_in_row_1(capsys, spy, fake_pool, monkeypatch, ar
                                                          *range(2, n_max + 1)]]
 
 
+@pytest.mark.parametrize("jobs", ("1", "2"))
+def test_scan_zm_brackets_once_per_row_and_exponent_vector(capsys, spy, fake_pool, monkeypatch,
+                                                           jobs):
+    # A nilpotent cell's bracket depends on m only through the exponents of m at
+    # the primes of n, so the verify stage computes one per row and exponent
+    # vector (here 50, against 816 nilpotent cells), over rows cut into blocks.
+    monkeypatch.setattr(cli, "_BLOCK", 64)
+    calls = spy(nilpotence, "zm_index_bracket")
+    assert run(capsys, *ZM_VERIFY_8X300, "--jobs", jobs)[0] == 0
+    vectors = {}
+    for n in range(1, 9):
+        primes = nilpotence.prime_divisors(n)
+        for m in range(2, 301):
+            if nilpotence.decide_zm(n, m).nilpotent:
+                key = n, tuple(numutil._valuation(m, p)[0] for p in primes)
+                vectors.setdefault(key, []).append(m)
+    assert sorted((n, tuple(numutil._valuation(m, p)[0] for p in primes))
+                  for (n, m, primes), _ in calls) == sorted(vectors)
+    assert (len(calls), sum(map(len, vectors.values()))) == (50, 816)
+    for (n, _), ms in vectors.items():  # the rule the memo rests on
+        primes = nilpotence.prime_divisors(n)
+        assert len({nilpotence.zm_index_bracket(n, m, primes) for m in ms}) == 1, (n, ms)
+
+
 def _csv_rows(out):
     header, *rows = out.splitlines()
     return [dict(zip(header.split(","), row.split(","))) for row in rows]

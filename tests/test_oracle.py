@@ -165,18 +165,20 @@ def test_geom_sum_indices_equal_min_nilpotent_index(spy, block):
     elems = [circring.geom_sum(n, m, q or m) for m in ms]
     index = {t: min_nilpotent_index(t, n) for t in set(elems)}
     assert found == [index[t] for t in elems]
-    # Each distinct T of a ring is raised to the power n once, from the packed T,
-    # and walked only when that power is zero: when the full walk finds an index.
+    # Each distinct T of a ring is raised once, from the packed T, to the least
+    # power of two 2**k >= n, and walked only when that power is zero: when the
+    # walk to 2**k finds an index (over Z_(p**e) it may lie past n and read None).
     cells = [(circring._pack(t.coeffs, circring._layout(n, t.modulus)[0]), t) for t in elems]
     tried = list(dict(cells).items()) if q else cells
-    assert powered == [(t, n) for t, _ in tried]
-    assert walked == [t for t, a in tried if index[a] is not None]
+    assert powered == [(t, 2 ** (n - 1).bit_length()) for t, _ in tried]
+    assert walked == [t for t, a in tried
+                      if min_nilpotent_index(a, 2 ** (n - 1).bit_length()) is not None]
 
 
 def test_geom_sum_indices_walk_each_distinct_element_once(spy):
     # T(n, m) over Z_2 depends only on m mod 2n, so a row of 1024 values of m
-    # holds at most 2n distinct elements: each is raised to the power n once,
-    # and each nilpotent one walked once.
+    # holds at most 2n distinct elements: each is raised once to the power 32,
+    # the least power of two >= n, and each nilpotent one walked once.
     n, ms = 28, range(1025, 2049)
     w = circring._layout(n, 2)[0]
     elems = {circring._pack(t.coeffs, w): t
@@ -186,17 +188,17 @@ def test_geom_sum_indices_walk_each_distinct_element_once(spy):
     powered = [(t, k) for (t, k, *_), _ in powers]
     walked = [t for (t, *_), _ in walks]
     assert found == [min_nilpotent_index(circring.geom_sum(n, m, 2), n) for m in ms]
-    assert sorted(powered) == sorted((t, n) for t in elems) and len(elems) <= 2 * n
+    assert sorted(powered) == sorted((t, 32) for t in elems) and len(elems) <= 2 * n
     nilpotent = [t for t, a in elems.items() if min_nilpotent_index(a, n) is not None]
     assert 0 < len(walked) == len(set(walked)) < len(elems)
     assert sorted(walked) == sorted(nilpotent)
 
 
 def test_block_walk_settles_each_non_nilpotent_element_by_one_power(monkeypatch):
-    # A T that is not nilpotent is never walked: its only products are those of
-    # one square-and-multiply T**63, at most 2 * 6 of them, where a walk to the
-    # bound would take about 31 (two powers a product). The block's cells are
-    # told apart by _geom_rule, which the block walk calls once per cell.
+    # A T that is not nilpotent is never walked: its only products are the
+    # (63 - 1).bit_length() = 6 squarings of T**64, where a walk to the bound
+    # would take 62. The block's cells are told apart by _geom_rule, which the
+    # block walk calls once per cell.
     n, ms = 63, range(1025, 2049)
     log = []
     for name in ("_geom_rule", "_reduce", "_walk"):
@@ -219,29 +221,56 @@ def test_block_walk_settles_each_non_nilpotent_element_by_one_power(monkeypatch)
     settled = [cell for cell, k in first.values() if k is None]
     assert len(settled) > 0 and any(k for _, k in first.values())
     for cell in settled:
-        assert "_walk" not in cell and cell.count("_reduce") <= 2 * (63).bit_length(), cell
+        assert cell == ["_reduce"] * (63 - 1).bit_length(), cell
+
+
+@pytest.mark.parametrize("q", (2, 4, 9, None), ids=("z2", "z4", "z9", "zm"))
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 28, 32, 33, 63, 64))
+def test_block_walk_costs_ceil_log2_n_squarings_per_element(spy, n, q):
+    # Each distinct T takes the k = (n - 1).bit_length() squarings of T**(2**k)
+    # and no other product unless that power is zero; then it is walked to the
+    # bound n, and every index found is that walk's. Over Z_q, T(n, m) repeats
+    # with period q*n in m, so these blocks hold every distinct T of the row.
+    ms, k = range(2, 2 + 2 * (q or 3) * n), (n - 1).bit_length()
+    elems = [circring.geom_sum(n, m, q or m) for m in ms]
+    index = {t: min_nilpotent_index(t, n) for t in set(elems)}
+    powers, walks = spy(circring, "_power"), spy(circring, "_walk")
+    reduces = spy(circring, "_reduce")
+    found = geom_sum_indices(n, ms, q)
+    assert found == [index[t] for t in elems]
+    assert {e for (_, e, *_), _ in powers} == {2**k} and {b for (*_, b), _ in walks} <= {n}
+    assert [t for (t, *_), _ in walks] == [t for (t, *_), p in powers if p == 0]
+    assert len(reduces) == k * len(powers) + sum((i or n) - 1 for _, i in walks)
+    results = iter([i for _, i in walks])
+    settled = [(t, next(results) if p == 0 else None) for (t, *_), p in powers]
+    if q:
+        settled = dict(settled)
+        w = circring._layout(n, q)[0]
+        assert found == [settled[circring._pack(t.coeffs, w)] for t in elems]
+    else:
+        assert found == [i for _, i in settled]
 
 
 def test_zm_walks_keep_their_own_slot_width(spy):
     # A Z_m block is cut where a cell's own slot width changes; each part takes
-    # one layout, from its largest modulus. Every cell's power T**n keeps the
-    # slot width of _layout(n, m), and exactly the cells whose power is zero
-    # are walked, each in the layout of its power.
+    # one layout, from its largest modulus. Every cell's power T**(2**k), the
+    # least power of two 2**k >= n, keeps the slot width of _layout(n, m), and
+    # exactly the cells whose power is zero are walked, each in its power's layout.
     parts = 0
     for n, ms in ((1, range(2, 1026)), (2, range(2, 1026)), (28, range(2, 1026)),
                   (64, range(2, 300)), (5, range(INT_LIMIT - 40, INT_LIMIT + 1))):
         power_calls, walk_calls = spy(circring, "_power"), spy(circring, "_walk")
         layout_calls = spy(circring, "_layout")
         found = geom_sum_indices(n, ms)
-        powers = [(q, layout[0]) for (_, _, _, q, layout), _ in power_calls]
+        powers = [(q, layout[0]) for (_, _, q, layout), _ in power_calls]
         layouts = [q for (_, q), _ in layout_calls]
         assert [q for q, _ in powers] == list(ms)
-        assert {k for (_, k, *_), _ in power_calls} == {n}
+        assert {k for (_, k, *_), _ in power_calls} == {2 ** (n - 1).bit_length()}
         for q, w in powers:
             assert w == circring._layout(n, q)[0], (n, q)
-        assert [(t, q, layout) for (t, _, q, layout, _), _ in walk_calls] == [
-            (t, q, layout) for (t, _, _, q, layout), p in power_calls if p == 0]
-        assert [q for (_, _, q, _, _), _ in walk_calls] == [
+        assert [(t, q, layout) for (t, q, layout, _), _ in walk_calls] == [
+            (t, q, layout) for (t, _, q, layout), p in power_calls if p == 0]
+        assert [q for (_, q, _, _), _ in walk_calls] == [
             m for m, k in zip(ms, found) if k is not None]
         widths = sorted({w for _, w in powers})
         assert layouts == [max(q for q, v in powers if v == w) for w in widths]
