@@ -48,14 +48,17 @@ def _check_match(a: CirculantElem, b: CirculantElem) -> None:
 
 
 def identity(n: int, q: int) -> CirculantElem:
-    return CirculantElem(n, q, (1 % q,) + (0,) * (n - 1))
+    _check_int("q", q, 2)
+    return CirculantElem(n, q, (1,) + (0,) * (n - 1))
 
 
 def shift_power(n: int, q: int, s: int) -> CirculantElem:
     """The s-th power of the cyclic shift: a single 1 at index s mod n."""
+    _check_int("n", n, 1)
+    _check_int("q", q, 2)
     _check_int("s", s, 0)
     coeffs = [0] * n
-    coeffs[s % n] = 1 % q
+    coeffs[s % n] = 1
     return CirculantElem(n, q, tuple(coeffs))
 
 
@@ -74,16 +77,18 @@ def geom_sum(n: int, m: int, q: int) -> CirculantElem:
     """I + S + ... + S**(m-1) of order n over Z_q, by _geom_rule."""
     _check_int("n", n, 1)
     _check_int("m", m, 1)
+    _check_int("q", q, 2)
     extra, high, low = _geom_rule(n, m, q)
     return CirculantElem(n, q, (high,) * extra + (low,) * (n - extra))
 
 
 def multiples_indicator(n: int, q: int, step: int) -> CirculantElem:
     """Sum of S**c over all indices c in [0, n) divisible by step; needs step | n."""
+    _check_int("q", q, 2)
     _check_int("step", step, 1)
     if n % step != 0:
         raise InvalidInput(f"step {step} does not divide order {n}")
-    coeffs = tuple((1 % q) if j % step == 0 else 0 for j in range(n))
+    coeffs = tuple(1 if j % step == 0 else 0 for j in range(n))
     return CirculantElem(n, q, coeffs)
 
 

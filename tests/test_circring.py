@@ -1,11 +1,13 @@
+import contextlib
 import functools
+import itertools
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nilcirc import circring
+from nilcirc import circring, oracle
 from nilcirc.circring import (
     CirculantElem,
     _first_zero_power,
@@ -22,7 +24,7 @@ from nilcirc.circring import (
     scalar_mul,
     shift_power,
 )
-from nilcirc.errors import InvalidInput, ShapeMismatch
+from nilcirc.errors import InputError, InvalidInput, ShapeMismatch
 from nilcirc.numutil import INT_LIMIT
 
 
@@ -100,6 +102,16 @@ def test_geom_sum_rejects_bad_parameters():
         geom_sum(3, 0, 5)
     with pytest.raises(InvalidInput):
         geom_sum(3, 3, 1)
+
+
+@pytest.mark.parametrize("make", (identity, shift_power, geom_sum, multiples_indicator,
+                                  oracle.geometric_identity_check))
+def test_constructors_answer_or_raise_input_error(make):
+    # Every int argument in {-1, 0, 1, 2}: a bad order or modulus is an
+    # InputError, never a ZeroDivisionError or an IndexError.
+    for args in itertools.product((-1, 0, 1, 2), repeat=make.__code__.co_argcount):
+        with contextlib.suppress(InputError):
+            make(*args)
 
 
 def test_shift_power_examples():

@@ -175,55 +175,6 @@ def test_geom_sum_indices_equal_min_nilpotent_index(spy, block):
                       if min_nilpotent_index(a, 2 ** (n - 1).bit_length()) is not None]
 
 
-def test_geom_sum_indices_walk_each_distinct_element_once(spy):
-    # T(n, m) over Z_2 depends only on m mod 2n, so a row of 1024 values of m
-    # holds at most 2n distinct elements: each is raised once to the power 32,
-    # the least power of two >= n, and each nilpotent one walked once.
-    n, ms = 28, range(1025, 2049)
-    w = circring._layout(n, 2)[0]
-    elems = {circring._pack(t.coeffs, w): t
-             for t in (circring.geom_sum(n, m, 2) for m in ms)}
-    powers, walks = spy(circring, "_power"), spy(circring, "_walk")
-    found = geom_sum_indices(n, ms, 2)
-    powered = [(t, k) for (t, k, *_), _ in powers]
-    walked = [t for (t, *_), _ in walks]
-    assert found == [min_nilpotent_index(circring.geom_sum(n, m, 2), n) for m in ms]
-    assert sorted(powered) == sorted((t, 32) for t in elems) and len(elems) <= 2 * n
-    nilpotent = [t for t, a in elems.items() if min_nilpotent_index(a, n) is not None]
-    assert 0 < len(walked) == len(set(walked)) < len(elems)
-    assert sorted(walked) == sorted(nilpotent)
-
-
-def test_block_walk_settles_each_non_nilpotent_element_by_one_power(monkeypatch):
-    # A T that is not nilpotent is never walked: its only products are the
-    # (63 - 1).bit_length() = 6 squarings of T**64, where a walk to the bound
-    # would take 62. The block's cells are told apart by _geom_rule, which the
-    # block walk calls once per cell.
-    n, ms = 63, range(1025, 2049)
-    log = []
-    for name in ("_geom_rule", "_reduce", "_walk"):
-        real = getattr(circring, name)
-        monkeypatch.setattr(circring, name,
-                            lambda *args, real=real, name=name: log.append(name) or real(*args))
-    found = geom_sum_indices(n, ms, 2)
-    monkeypatch.undo()
-    cells = []  # the calls of each cell, from its _geom_rule to the next one
-    for name in log:
-        if name == "_geom_rule":
-            cells.append([])
-        else:
-            cells[-1].append(name)
-    elems = [circring.geom_sum(n, m, 2) for m in ms]
-    assert found == [min_nilpotent_index(t, n) for t in elems]
-    first = {}  # each distinct T: the cell that settled it, and its index
-    for t, k, cell in zip(elems, found, cells):
-        first.setdefault(t, (cell, k))
-    settled = [cell for cell, k in first.values() if k is None]
-    assert len(settled) > 0 and any(k for _, k in first.values())
-    for cell in settled:
-        assert cell == ["_reduce"] * (63 - 1).bit_length(), cell
-
-
 @pytest.mark.parametrize("q", (2, 4, 9, None), ids=("z2", "z4", "z9", "zm"))
 @pytest.mark.parametrize("n", (1, 2, 3, 5, 28, 32, 33, 63, 64))
 def test_block_walk_costs_ceil_log2_n_squarings_per_element(spy, n, q):
@@ -243,7 +194,9 @@ def test_block_walk_costs_ceil_log2_n_squarings_per_element(spy, n, q):
     assert len(reduces) == k * len(powers) + sum((i or n) - 1 for _, i in walks)
     results = iter([i for _, i in walks])
     settled = [(t, next(results) if p == 0 else None) for (t, *_), p in powers]
-    if q:
+    if q:  # a row holds at most q*n distinct T, each powered once
+        powered = [t for (t, *_), _ in powers]
+        assert len(powered) == len(set(powered)) <= q * n
         settled = dict(settled)
         w = circring._layout(n, q)[0]
         assert found == [settled[circring._pack(t.coeffs, w)] for t in elems]
