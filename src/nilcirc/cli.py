@@ -29,9 +29,9 @@ EXIT_BAD_INPUT = 3
 
 
 # Cells per block: a scan decides one row n and at most this many consecutive
-# values of m in one step (one verdict per class of candidate cells, and over
-# Z_m one per cell in row 1 only), tallies them, and renders them into one text
-# that it hands to one write; a pooled verify sends a worker one block per task.
+# values of m in one step (a verdict per class of candidate cells, and over Z_m
+# a split of m per cell in row 1 only), tallies them, and renders them into one
+# text that it hands to one write; a pooled verify sends a worker one block per task.
 # The first block's texts of m are kept for the later rows; past it, a block's
 # texts are built again in every row, so a scan's memory stays bounded however
 # long the m axis.
@@ -61,68 +61,16 @@ _CSV_COLUMNS = {
 
 
 def _blocks(p, n_max: int, ms: range):
-    """(n, n_split, block, verdicts) for each block of the grid, row by row.
-
-    A block is one row n and at most _BLOCK consecutive values of m. n_split
-    is n's split: (a, n_star) over Z_p, the primes of n over Z_m (p is None);
-    p is a prime checked by the caller. The verdicts map the offset of each
-    nilpotent cell to the index over Z_p, or to the clause over Z_m.
+    """(n, n_split, block, verdicts) for each block of the grid, row by row: one
+    row n and at most _BLOCK consecutive values of m. p is a prime checked by the
+    caller; n_split and the verdicts are those of nilpotence._row_verdicts.
     """
     split = nilpotence.prime_divisors if p is None else functools.partial(_valuation, p=p)
     for n in range(1, n_max + 1):
         n_split = split(n)
         for lo in range(0, ms.stop - ms.start, _BLOCK):  # len() overflows past 2**63
             block = ms[lo:lo + _BLOCK]
-            yield n, n_split, block, _decide(p, n, n_split, block)
-
-
-def _decide(p, n: int, n_split, block: range) -> dict:
-    """{offset: verdict} for row n's nilpotent cells in block, from n's split alone.
-
-    zp_index and zm_clause decide the candidate cells; no other cell can be nilpotent:
-    - Over Z_p, with n = p**a * n_star and m = p**b * m_star, zp_index is None
-      unless b >= 1 and n_star | m_star, so unless p * n_star | m, because
-      gcd(p, n_star) = 1. The candidates are the multiples of p * n_star.
-      Every candidate is nilpotent: p | m gives b >= 1, and n_star | m with
-      gcd(n_star, p) = 1 gives n_star | m_star. Its index ceil(p**a / (p**b - 1))
-      then depends on the row and b alone, and the cells of valuation b or more
-      are the multiples of p**b * n_star: b = 1, 2, ... fills those with the
-      index at m = p**b * n_star, a later b overwriting an earlier one.
-    - Over Z_m, zm_clause is NOT_NILPOTENT unless n | m, or m is a power of a
-      prime q and n is 1 or a power of q. Row n = 1 takes zm_clause on every
-      cell, since its clause asks whether m is a prime power. In any other row
-      the candidates fall into classes of one verdict each, which zm_clause
-      gives on one member of the class:
-      - n with two primes or more: the multiples of n, each multi_prime_divides,
-        as n | m and m has n's primes.
-      - n = q**j: the powers of q in block, each same_prime_powers (those below
-        n are the only candidates that n does not divide), and every other
-        multiple of n, multi_prime_divides, as it has a prime besides q.
-    """
-    if p is not None:
-        a, n_star = n_split
-        vs, b = {}, 1
-        while (step := p**b * n_star) <= block[-1]:
-            vs.update(dict.fromkeys(range(-block.start % step, len(block), step),
-                                    nilpotence.zp_index(a, n_star, b, n_star, p)))
-            b += 1
-        return vs
-    if not n_split:
-        return {i: nilpotence.zm_clause(n, m, n_split) for i, m in enumerate(block)}
-    multiples, powers = range(-block.start % n, len(block), n), []
-    if len(n_split) == 1:
-        x = q = n_split[0]
-        while x <= block[-1]:
-            if x >= block.start:
-                powers.append(x - block.start)
-            x *= q
-    # The multiples first: a power of q that n divides then takes the powers' verdict.
-    other = next((i for i in multiples if i not in powers), None)
-    vs = {} if other is None else dict.fromkeys(
-        multiples, nilpotence.zm_clause(n, block[other], n_split))
-    if powers:
-        vs.update(dict.fromkeys(powers, nilpotence.zm_clause(n, block[powers[0]], n_split)))
-    return vs
+            yield n, n_split, block, nilpotence._row_verdicts(p, n, n_split, block)
 
 
 def _agree(p, no, n: int, n_split, block: range, vs: dict, found: list, brackets: dict) -> dict:
@@ -503,7 +451,14 @@ def entry() -> None:
     if hasattr(signal, "SIGPIPE"):
         # A reader that closes the pipe ends the process quietly, like any filter.
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write. What it left in stdout's buffer goes
+        # to devnull, so the interpreter's last flush does not fail on it again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ recurse with one variable fewer).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .errors import CoprimalityViolated, DivisibilityViolated
 from .numutil import _check_int, check_budget, pow_checked
@@ -28,6 +28,22 @@ class Lemma1Instance:
     qvars: int
     c: int
 
+    def __post_init__(self) -> None:
+        """Check the hypotheses, however the instance is built."""
+        d, m_star, n_star = self.d, self.m_star, self.n_star
+        _check_int("d", d, 2)
+        _check_int("m_star", m_star, 1)
+        _check_int("n_star", n_star, 1)
+        _check_int("qvars", self.qvars, 1)
+        if math.gcd(d, m_star) != 1:
+            raise CoprimalityViolated(f"gcd(d={d}, m_star={m_star}) != 1")
+        if math.gcd(d, n_star) != 1:
+            raise CoprimalityViolated(f"gcd(d={d}, n_star={n_star}) != 1")
+        if m_star % n_star != 0:
+            raise DivisibilityViolated(f"n_star={n_star} does not divide m_star={m_star}")
+        _check_int("m", d * m_star, 2)
+        _check_int("n", pow_checked(d, self.qvars) * n_star, 1)
+
     @property
     def m(self) -> int:
         return self.d * self.m_star
@@ -41,20 +57,9 @@ class Lemma1Instance:
 
 
 def validate(d: int, m_star: int, n_star: int, qvars: int, c: int = 0) -> Lemma1Instance:
-    """Check the hypotheses and return the instance, with c reduced mod n."""
-    _check_int("d", d, 2)
-    _check_int("m_star", m_star, 1)
-    _check_int("n_star", n_star, 1)
-    _check_int("qvars", qvars, 1)
-    if math.gcd(d, m_star) != 1:
-        raise CoprimalityViolated(f"gcd(d={d}, m_star={m_star}) != 1")
-    if math.gcd(d, n_star) != 1:
-        raise CoprimalityViolated(f"gcd(d={d}, n_star={n_star}) != 1")
-    if m_star % n_star != 0:
-        raise DivisibilityViolated(f"n_star={n_star} does not divide m_star={m_star}")
-    _check_int("m", d * m_star, 2)
-    n = _check_int("n", pow_checked(d, qvars) * n_star, 1)
-    return Lemma1Instance(d, m_star, n_star, qvars, c % n)
+    """The instance, which checks the hypotheses, with c reduced mod n."""
+    inst = Lemma1Instance(d, m_star, n_star, qvars, 0)
+    return replace(inst, c=c % inst.n)
 
 
 def count_closed_form(inst: Lemma1Instance) -> int:

@@ -3,8 +3,10 @@
 Over Z_p the decision is exact: write n = p**a * n_star and m = p**b * m_star
 with the starred parts coprime to p; T is nilpotent iff b >= 1 and
 n_star | m_star, and then its index is ceil(p**a / (p**b - 1)). Over Z_m two
-independent routes are provided: Corollary 1's clause from the primes of n
-(zm_clause), and the reduction to decide_zp at every prime factor of m.
+independent routes are provided: Corollary 1's clause from the primes of n,
+for a row block at once (_row_verdicts, which also holds Theorem 1's rule for
+a block over Z_p) or one cell (zm_clause), and the reduction to decide_zp at
+every prime factor of m.
 """
 
 from __future__ import annotations
@@ -123,23 +125,55 @@ def prime_divisors(x: int) -> tuple[int, ...]:
 
 
 def zm_clause(n: int, m: int, n_primes: tuple[int, ...]) -> ZmClause:
-    """Corollary 1's clause over Z_m, from the primes n_primes of n: for n = 1,
-    same_prime_powers if m is a prime power (the one case that factors m); for
-    n a power of a prime q, same_prime_powers if dividing q out of m leaves 1;
-    otherwise multi_prime_divides if n | m, else not nilpotent.
+    """Corollary 1's clause over Z_m from the primes of n: _row_verdicts on one cell."""
+    return _row_verdicts(None, n, n_primes, range(m, m + 1)).get(0, ZmClause.NOT_NILPOTENT)
 
-    This is the literal rule, m and n powers of one prime (n = 1 the zeroth) or
-    m with two primes and n | m: n = 1 divides every m, and an m that is no
-    prime power has two primes; for n = q**j, an m that n divides and that is
-    no power of q has a second prime; an n with two primes divides no prime
-    power, and each multiple of it has two primes.
+
+def _row_verdicts(p, n: int, n_split, block: range) -> dict:
+    """{offset: verdict} for row n's nilpotent cells in block, from n's split alone:
+    (a, n_star) over Z_p, the primes of n over Z_m (p is None). A verdict is the
+    index over Z_p, the clause over Z_m. No cell but these candidates is nilpotent:
+    - Over Z_p, with n = p**a * n_star and m = p**b * m_star, zp_index is None
+      unless b >= 1 and n_star | m_star, so unless p * n_star | m, because
+      gcd(p, n_star) = 1. The candidates are the multiples of p * n_star.
+      Every candidate is nilpotent: p | m gives b >= 1, and n_star | m with
+      gcd(n_star, p) = 1 gives n_star | m_star. Its index ceil(p**a / (p**b - 1))
+      then depends on the row and b alone, and the cells of valuation b or more
+      are the multiples of p**b * n_star: b = 1, 2, ... fills those with the
+      index at m = p**b * n_star, a later b overwriting an earlier one.
+    - Over Z_m, Corollary 1 (m and n powers of one prime, n = 1 the zeroth, or m
+      with two primes and n | m) makes a cell not nilpotent unless n | m, or m is
+      a power of a prime q and n is 1 or a power of q; each class has one clause:
+      - n = 1: every cell, same_prime_powers if m is a prime power (the one case
+        that factors m), else multi_prime_divides: n = 1 divides every m, and
+        an m that is no prime power has two primes.
+      - n = q**j: every multiple of n, multi_prime_divides, then the powers of q
+        in block, walked up to its end, same_prime_powers (those below n are
+        the only candidates that n does not divide): an m that n divides and
+        that is no power of q has a second prime.
+      - n with two primes or more: the multiples of n, multi_prime_divides: an
+        n with two primes divides no prime power, and each multiple of it has
+        two primes.
     """
-    if not n_primes:
-        return (ZmClause.SAME_PRIME_POWERS if len(prime_divisors(m)) == 1
-                else ZmClause.MULTI_PRIME_DIVIDES)
-    if len(n_primes) == 1 and _valuation(m, n_primes[0])[1] == 1:
-        return ZmClause.SAME_PRIME_POWERS
-    return ZmClause.MULTI_PRIME_DIVIDES if m % n == 0 else ZmClause.NOT_NILPOTENT
+    if p is not None:
+        a, n_star = n_split
+        vs, b = {}, 1
+        while (step := p**b * n_star) <= block[-1]:
+            vs.update(dict.fromkeys(range(-block.start % step, len(block), step),
+                                    zp_index(a, n_star, b, n_star, p)))
+            b += 1
+        return vs
+    if not n_split:
+        return {i: ZmClause.SAME_PRIME_POWERS if len(prime_divisors(m)) == 1
+                else ZmClause.MULTI_PRIME_DIVIDES for i, m in enumerate(block)}
+    vs = dict.fromkeys(range(-block.start % n, len(block), n), ZmClause.MULTI_PRIME_DIVIDES)
+    if len(n_split) == 1:
+        x = q = n_split[0]
+        while x <= block[-1]:
+            if x >= block.start:
+                vs[x - block.start] = ZmClause.SAME_PRIME_POWERS
+            x *= q
+    return vs
 
 
 def zm_index_bracket(n: int, m: int, n_primes: tuple[int, ...]) -> Optional[tuple[int, int]]:

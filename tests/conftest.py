@@ -117,15 +117,16 @@ class CliProcess(subprocess.Popen):
 def cli_process():
     """cli_process(*args, code=None, **kwargs) starts `python -m nilcirc.cli *args`,
     or `python -c code *args`, with the tested src/ on PYTHONPATH and in a
-    session of its own, and returns its CliProcess. stdout and stderr are text
-    pipes unless kwargs say otherwise. At teardown whatever is left of each
+    session of its own, and returns its CliProcess. The child's environment is
+    the test's at the call, so monkeypatch can change it. stdout and stderr are
+    text pipes unless kwargs say otherwise. At teardown whatever is left of each
     session is killed, so a process that does not end fails its test, not the run."""
     started = []
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
     def start(*args, code=None, **kwargs):
         command = ["-c", code] if code else ["-m", "nilcirc.cli"]
         options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **kwargs}
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         started.append(CliProcess([sys.executable, *command, *args], env=env,
                                   start_new_session=True, **options))
         return started[-1]

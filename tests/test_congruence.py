@@ -18,6 +18,7 @@ from nilcirc.errors import (
     BudgetExceeded,
     CoprimalityViolated,
     DivisibilityViolated,
+    InputError,
     InvalidInput,
     Overflow,
 )
@@ -160,6 +161,18 @@ def test_enumeration_is_ground_truth():
         if (x0 + 3 * x1) % 18 == 5
     )
     assert direct == 8 == count_closed_form(inst)
+
+
+def test_instance_checks_its_own_hypotheses():
+    # Built directly, without validate: every instance is refused or counted right.
+    for fields in itertools.product((-1, 0, 1, 2), repeat=5):
+        try:
+            inst = Lemma1Instance(*fields)
+        except InputError:
+            continue
+        closed = count_closed_form(inst)
+        assert count_recursive(inst) == closed
+        assert counts_by_target(inst)[inst.c % inst.n] == closed
 
 
 def test_instance_derived_fields():

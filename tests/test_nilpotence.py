@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcirc import circring, numutil, oracle
+from nilcirc import circring, nilpotence, numutil, oracle
 from nilcirc.errors import InvalidInput, InvalidPrime
 from nilcirc.nilpotence import (
     ZmClause,
@@ -196,6 +197,99 @@ def test_zm_json_schema():
     assert d["clause"] == "multi_prime_divides"
     assert [z["p"] for z in d["per_prime"]] == [2, 3]
     assert list(d) == ["n", "m", "nilpotent", "clause", "per_prime"]
+
+
+@st.composite
+def _zm_cells(draw):
+    """(n, m) up to 2**64 - 1, for a prime q in {2, 3, 5, 2**31 - 1}: n often a
+    power of q, m often a power of q or a multiple of n."""
+    q = draw(st.sampled_from([2, 3, 5, 2**31 - 1]))
+    top = max(k for k in range(1, 64) if q**k <= numutil.INT_LIMIT)
+    n = draw(st.integers(1, numutil.INT_LIMIT) | st.integers(0, top).map(lambda j: q**j))
+    m = draw(st.integers(2, numutil.INT_LIMIT) | st.integers(1, top).map(lambda k: q**k)
+             | st.integers(1, numutil.INT_LIMIT // n).map(lambda k: max(2, k * n)))
+    return n, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=_zm_cells())
+def test_zm_clause_equals_per_prime_route_at_64_bits(cell):
+    # The clause walks the powers of q up to m: checked against Theorem 1 at
+    # each prime of m, which shares no code with it, across the whole domain.
+    n, m = cell
+    assert decide_zm(n, m).clause is decide_zm_via_primes(n, m).clause
+
+
+# ---------------------------------------------------------------------------
+# the row rule: every cell of a row block at once, from the split of n
+
+
+def _split(p):
+    return prime_divisors if p is None else functools.partial(numutil.p_adic_valuation, p=p)
+
+
+@st.composite
+def _row_blocks(draw):
+    """(n, block): any row n <= 10**4 and up to 64 values of m below 2**32 + 64,
+    often placed at a multiple of n or among the small powers of a prime."""
+    n = draw(st.integers(1, 10**4) | st.sampled_from([4, 8, 9, 25, 27, 32, 49, 64, 81, 1024]))
+    start = draw(st.integers(2, 2**32) | st.integers(2, 300)
+                 | st.integers(1, 2**32 // n).map(lambda j: max(2, j * n - 40)))
+    return n, range(start, start + draw(st.integers(1, 64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 2**61 - 1, None]), row_block=_row_blocks())
+def test_decide_keeps_every_nilpotent_cell(p, row_block):
+    # The candidate filter, which sees only the split of n, against every cell
+    # decided on its own: over Z_m by Theorem 1 at each prime of m, the route
+    # that shares no code with zm_clause.
+    n, block = row_block
+    split = _split(p)
+    if p is None:
+        dense = {i: v for i, m in enumerate(block)
+                 if (v := decide_zm_via_primes(n, m).clause) is not ZmClause.NOT_NILPOTENT}
+    else:
+        dense = {i: v for i, m in enumerate(block)
+                 if (v := nilpotence.zp_index(*split(n), *split(m), p)) is not None}
+    assert nilpotence._row_verdicts(p, n, split(n), block) == dense
+
+
+def test_decide_zm_keeps_powers_of_the_prime_that_n_does_not_divide():
+    # Row n = 8: m = 2 and m = 4 are same_prime_powers although 8 does not divide them.
+    same = ZmClause.SAME_PRIME_POWERS
+    assert nilpotence._row_verdicts(None, 8, (2,), range(2, 18)) == {
+        0: same, 2: same, 6: same, 14: same}
+
+
+@st.composite
+def _prime_power_row_blocks(draw):
+    """(q, n, block): a row n = q**j and up to 16 values of m that hold a power
+    q**k, both below 2**64; j and k are drawn independently, so q**k falls
+    below, at or above n."""
+    q = draw(st.sampled_from([2, 3, 5, 2**31 - 1]))
+    top = max(k for k in range(1, 64) if q**k < 2**64 - 16)
+    j, k, size = draw(st.integers(1, top)), draw(st.integers(1, top)), draw(st.integers(1, 16))
+    start = max(2, q**k - draw(st.integers(0, size - 1)))
+    return q, q**j, range(start, start + size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_block=_prime_power_row_blocks())
+def test_decide_prime_power_rows_at_large_powers(row_block):
+    # A row n = q**j splits its candidates into q's powers and the other
+    # multiples of n, one verdict each: checked on every cell by the per-prime
+    # route over Z_m, and by Theorem 1 cell by cell over Z_q.
+    q, n, block = row_block
+    dense = {i: v for i, m in enumerate(block)
+             if (v := decide_zm_via_primes(n, m).clause) is not ZmClause.NOT_NILPOTENT}
+    assert nilpotence._row_verdicts(None, n, (q,), block) == dense
+    split = _split(q)
+    dense = {i: v for i, m in enumerate(block)
+             if (v := nilpotence.zp_index(*split(n), *split(m), q)) is not None}
+    assert nilpotence._row_verdicts(q, n, split(n), block) == dense
+
+
 
 
 # ---------------------------------------------------------------------------
