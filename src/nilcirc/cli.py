@@ -11,7 +11,6 @@ import collections
 import functools
 import itertools
 import json
-import math
 import os
 import random
 import signal
@@ -73,23 +72,21 @@ def _blocks(p, n_max: int, ms: range):
             yield n, n_split, block, nilpotence._row_verdicts(p, n, n_split, block)
 
 
-def _agree(p, no, n: int, n_split, block: range, vs: dict, found: list, brackets: dict) -> dict:
+def _agree(p, no, n: int, n_split, block: range, vs: dict, found: list) -> dict:
     """(verdict, oracle index, agree) by offset for the cells of row n and block
     whose verdict is not no or whose oracle index found[i] is not None.
 
     A cell agrees when both sides find it not nilpotent, or both find it
     nilpotent and the oracle's index lies in the closed form's bracket: (v, v)
-    over Z_p, v the index reported; over Z_m nilpotence.zm_index_bracket, which
-    is Theorem 1 at each prime of n (n_split), and (1, 1) in row n = 1. At a
-    nilpotent cell it depends on m only through v_p(m) at those primes, which
-    gcd(m, rad(n)**E) encodes for 2**E > m: brackets keeps one per n and gcd.
+    over Z_p, v the index reported; over Z_m nilpotence.zm_index_bracket from
+    the primes of n (n_split), one point except where n and m are powers of one
+    prime and n does not divide m.
     """
-    keys, part = {}, p is None and math.prod(n_split) ** block[-1].bit_length()
+    keys = {}
     for i, k in enumerate(found):
         if (v := vs.get(i, no)) is not no or k is not None:
-            bracket = v is not no and k is not None and ((v, v) if p is not None else (
-                brackets.get(key := (n, math.gcd(block[i], part)))
-                or brackets.setdefault(key, nilpotence.zm_index_bracket(n, block[i], n_split))))
+            bracket = v is not no and k is not None and (
+                (v, v) if p is not None else nilpotence.zm_index_bracket(n, block[i], n_split))
             keys[i] = v, k, bool(bracket) and bracket[0] <= k <= bracket[1]
     return keys
 
@@ -238,13 +235,13 @@ def cmd_scan(args) -> int:
                       + ',\n  "cells": [\n')
         # A block's cell texts start as m's with the default key's (the first
         # block's are kept) and take the other keys' texts, each rendered once.
-        tails, brackets, sep, lead = {}, {}, ",\n" if args.format == "json" else "", ""
+        tails, sep, lead = {}, ",\n" if args.format == "json" else "", ""
         if args.format != "human":  # which renders no cell
             head, tail = _tail((no, None, True) if args.verify else no, args.format, columns, no)
             cell = "%d" + tail
             first = list(map(cell.__mod__, ms[:_BLOCK]))
         for n, n_split, block, vs, found in pieces:
-            keys = _agree(p, no, n, n_split, block, vs, found, brackets) if args.verify else vs
+            keys = _agree(p, no, n, n_split, block, vs, found) if args.verify else vs
             summary["nilpotent"] += len(vs)
             if args.verify:
                 summary["disagreements"] += [{"n": n, "m": block[i]}

@@ -12,7 +12,7 @@ recurse with one variable fewer).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .errors import CoprimalityViolated, DivisibilityViolated
 from .numutil import _check_int, check_budget, pow_checked
@@ -29,7 +29,7 @@ class Lemma1Instance:
     c: int
 
     def __post_init__(self) -> None:
-        """Check the hypotheses, however the instance is built."""
+        """Check the hypotheses, however the instance is built, and reduce c mod n."""
         d, m_star, n_star = self.d, self.m_star, self.n_star
         _check_int("d", d, 2)
         _check_int("m_star", m_star, 1)
@@ -42,7 +42,8 @@ class Lemma1Instance:
         if m_star % n_star != 0:
             raise DivisibilityViolated(f"n_star={n_star} does not divide m_star={m_star}")
         _check_int("m", d * m_star, 2)
-        _check_int("n", pow_checked(d, self.qvars) * n_star, 1)
+        n = _check_int("n", pow_checked(d, self.qvars) * n_star, 1)
+        object.__setattr__(self, "c", self.c % n)  # frozen
 
     @property
     def m(self) -> int:
@@ -58,8 +59,7 @@ class Lemma1Instance:
 
 def validate(d: int, m_star: int, n_star: int, qvars: int, c: int = 0) -> Lemma1Instance:
     """The instance, which checks the hypotheses, with c reduced mod n."""
-    inst = Lemma1Instance(d, m_star, n_star, qvars, 0)
-    return replace(inst, c=c % inst.n)
+    return Lemma1Instance(d, m_star, n_star, qvars, c)
 
 
 def count_closed_form(inst: Lemma1Instance) -> int:

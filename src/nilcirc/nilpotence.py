@@ -5,8 +5,9 @@ with the starred parts coprime to p; T is nilpotent iff b >= 1 and
 n_star | m_star, and then its index is ceil(p**a / (p**b - 1)). Over Z_m two
 independent routes are provided: Corollary 1's clause from the primes of n,
 for a row block at once (_row_verdicts, which also holds Theorem 1's rule for
-a block over Z_p) or one cell (zm_clause), and the reduction to decide_zp at
-every prime factor of m.
+a block over Z_p) or one cell (decide_zm), and the reduction to decide_zp at
+every prime factor of m. The index over Z_m (zm_index_bracket) is exact where
+n | m, and bracketed by Theorem 1 on the one other nilpotent class.
 """
 
 from __future__ import annotations
@@ -124,11 +125,6 @@ def prime_divisors(x: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factorize(x)) if x != 1 else ()
 
 
-def zm_clause(n: int, m: int, n_primes: tuple[int, ...]) -> ZmClause:
-    """Corollary 1's clause over Z_m from the primes of n: _row_verdicts on one cell."""
-    return _row_verdicts(None, n, n_primes, range(m, m + 1)).get(0, ZmClause.NOT_NILPOTENT)
-
-
 def _row_verdicts(p, n: int, n_split, block: range) -> dict:
     """{offset: verdict} for row n's nilpotent cells in block, from n's split alone:
     (a, n_star) over Z_p, the primes of n over Z_m (p is None). A verdict is the
@@ -177,33 +173,36 @@ def _row_verdicts(p, n: int, n_split, block: range) -> dict:
 
 
 def zm_index_bracket(n: int, m: int, n_primes: tuple[int, ...]) -> Optional[tuple[int, int]]:
-    """(max(1, max k_p), max(1, max e_p*k_p)) over the primes p of n, e_p = v_p(m)
-    and k_p Theorem 1's index over Z_p; None where T(n, m) is not nilpotent.
+    """The index of T(n, m) over Z_m as a bracket (low, high), from n_primes, the
+    primes of n: (1, 1) at n = 1 and (2, 2) where 1 < n and n | m, both exact;
+    (k, e*k) where n = q**j and m = q**e with e < j, k = ceil(n / (m - 1)) the
+    index over Z_q by Theorem 1; None elsewhere, where T is not nilpotent.
 
-    Else the index lies in this bracket. By the CRT, the index over Z_m is the
-    largest over the Z_(p**e), m = prod p**e. At a prime p of n, reducing mod p
-    is a ring map, so that index is at least k_p; and T**k_p = p*U gives
-    T**(e*k_p) = p**e * U**e = 0. k_p is defined, as n | m or n and m are
-    powers of p. A prime p of m outside n gives 1: a nilpotent cell with one
-    has n | m, so p**e divides m / n, which is every coefficient of T.
+    Corollary 1 makes T nilpotent where n and m are powers of one prime q (n = 1
+    the zeroth), or m has two primes and n | m: so where n | m, or on that class
+    with n not dividing m, which is e < j. Where n | m, T = (m/n)*J, J the
+    all-ones circulant, as each residue mod n takes m/n of the exponents 0..m-1;
+    J**2 = n*J, so T**2 = (m/n)*m*J = 0 over Z_m, and T = 0 only if n = 1, since
+    0 < m/n < m for n > 1. On the class n = q**j, m = q**e, e < j: reducing mod
+    q is a ring map onto the ring over Z_q, so the index is at least k; and
+    T**k = 0 mod q means T**k = q*U, so T**(e*k) = q**e * U**e = 0.
     """
     _check_int("n", n, 1)
     _check_int("m", m, 2)
-    if n_primes and zm_clause(n, m, n_primes) is ZmClause.NOT_NILPOTENT:
+    if m % n == 0:
+        return (1, 1) if n == 1 else (2, 2)
+    if len(n_primes) != 1 or (split := _valuation(m, n_primes[0]))[1] != 1:
         return None
-    low = high = 1
-    for p in n_primes:
-        e, m_star = _valuation(m, p)
-        k = zp_index(*_valuation(n, p), e, m_star, p)
-        low, high = max(low, k), max(high, e * k)
-    return low, high
+    k = -(-n // (m - 1))
+    return k, split[0] * k
 
 
 def decide_zm(n: int, m: int) -> ZmVerdict:
-    """Decide nilpotence of T over Z_m by zm_clause."""
+    """Decide nilpotence of T over Z_m by Corollary 1: _row_verdicts on one cell."""
     _check_int("m", m, 2)
     _check_int("n", n, 1)
-    clause = zm_clause(n, m, prime_divisors(n))
+    clause = _row_verdicts(None, n, prime_divisors(n), range(m, m + 1)).get(
+        0, ZmClause.NOT_NILPOTENT)
     return ZmVerdict(n, m, clause is not ZmClause.NOT_NILPOTENT, clause)
 
 

@@ -56,11 +56,7 @@ def is_prime(n: int) -> bool:
     for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = _valuation(n - 1, 2)
     for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -101,10 +97,7 @@ def factorize(q: int) -> tuple[tuple[int, int], ...]:
     d = 2
     while d * d <= q and d <= _TRIAL_DIVISION_MAX:
         if q % d == 0:
-            e = 0
-            while q % d == 0:
-                q //= d
-                e += 1
+            e, q = _valuation(q, d)
             pairs.append((d, e))
         d += 1 if d == 2 else 2
     if d * d > q:  # q is 1 or a prime

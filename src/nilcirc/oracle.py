@@ -33,11 +33,19 @@ def geom_sum_indices(n: int, ms: range, q: Optional[int] = None) -> list[Optiona
     zero power or n, and every other cell reads None (see circring._block_walk).
 
     The bound n is sound over a field Z_p, where a nilpotent n x n matrix has
-    index at most n, but not over every Z_m: CirculantElem(1, 4, (2,)) has index
-    2 over Z_4. Over Z_(p**e) the index is at most e*n, below n*m.bit_length(),
-    and a walk of T(n, m) to that bound finds no index above n at n <= 32,
-    m <= 96 (tests); a miss would read None and exit 1, not a wrong answer. n, q
-    and the ends of the ascending range ms are checked once.
+    index at most n, but not for every element over Z_m: CirculantElem(1, 4,
+    (2,)) has index 2 over Z_4. It is sound for T(n, m) over Z_m, by the index
+    that nilpotence.zm_index_bracket proves: 1 at n = 1 and 2 where 1 < n and
+    n | m; on the one other nilpotent class, n = q**j and m = q**e with e < j, at
+    most e*k, k = ceil(q**j / (q**e - 1)), and e*k <= q**j = n:
+    - e = 1: k <= q**j, as q - 1 >= 1.
+    - q = 2, e = 2: 2k <= 2(2**j + 2)/3 <= 2**j, as j >= 3.
+    - otherwise q**e >= 7e/3: it holds at q = 2, e = 3 and at q >= 3, e = 2,
+      and e -> e + 1 multiplies the left side by q, the right by (e + 1)/e < q.
+      Write X = q**e; q**j >= q*X >= 2X, so e <= e*q**j/(2X), and
+      e*k < e*q**j/(X - 1) + e <= e*q**j*(3X - 1)/(2X(X - 1))
+          <= q**j * 3(3X - 1)/(14(X - 1)) <= q**j, as X >= 3.
+    n, q and the ends of the ascending range ms are checked once.
     """
     _check_int("n", n, 1)
     if not ms:

@@ -280,16 +280,16 @@ def test_scan_blocks_match_cell_by_cell_reference(fake_pool, p, n_max, m_max, fm
 
 @pytest.mark.parametrize("mode, bound", [
     (("--p", "2"), sum(-(-64 // (2 * numutil.p_adic_valuation(n, 2)[1])) for n in range(1, 65))),
-    # Over Z_m every class takes its clause with no call: one zm_clause call per
-    # class and per cell of row 1 makes 143 here, one per candidate 299.
+    # Over Z_m the row rule gives every class its clause, and Theorem 1 runs on
+    # no cell.
     (("--zm",), 0),
 ])
 def test_scan_decides_only_candidate_cells(capsys, spy, mode, bound):
     # A scan that fell back to deciding every cell (4096 here) fails this bound,
-    # and none calls zm_clause, the one-cell case of the row rule.
-    zp, zm = spy(nilpotence, "zp_index"), spy(nilpotence, "zm_clause")
+    # and each block (one per row here) takes one call of the row rule.
+    zp, rows = spy(nilpotence, "zp_index"), spy(nilpotence, "_row_verdicts")
     assert run(capsys, "scan", *mode, "--n-max", "64", "--m-max", "64", "--format", "csv")[0] == 0
-    assert zm == [] and min(1, bound) <= len(zp) <= bound
+    assert len(rows) == 64 and min(1, bound) <= len(zp) <= bound
 
 
 @pytest.mark.parametrize("mode, expected", [
@@ -328,30 +328,6 @@ def test_scan_zm_factors_m_only_in_row_1(capsys, spy, fake_pool, monkeypatch, ar
     n_max, m_max = int(argv[argv.index("--n-max") + 1]), int(argv[argv.index("--m-max") + 1])
     assert [args for args, _ in calls] == [(x,) for x in [*range(2, m_max + 1),
                                                          *range(2, n_max + 1)]]
-
-
-@pytest.mark.parametrize("jobs", ("1", "2"))
-def test_scan_zm_brackets_once_per_row_and_exponent_vector(capsys, spy, fake_pool, monkeypatch,
-                                                           jobs):
-    # A nilpotent cell's bracket depends on m only through the exponents of m at
-    # the primes of n, so the verify stage computes one per row and exponent
-    # vector (here 50, against 816 nilpotent cells), over rows cut into blocks.
-    monkeypatch.setattr(cli, "_BLOCK", 64)
-    calls = spy(nilpotence, "zm_index_bracket")
-    assert run(capsys, *ZM_VERIFY_8X300, "--jobs", jobs)[0] == 0
-    vectors = {}
-    for n in range(1, 9):
-        primes = nilpotence.prime_divisors(n)
-        for m in range(2, 301):
-            if nilpotence.decide_zm(n, m).nilpotent:
-                key = n, tuple(numutil._valuation(m, p)[0] for p in primes)
-                vectors.setdefault(key, []).append(m)
-    assert sorted((n, tuple(numutil._valuation(m, p)[0] for p in primes))
-                  for (n, m, primes), _ in calls) == sorted(vectors)
-    assert (len(calls), sum(map(len, vectors.values()))) == (50, 816)
-    for (n, _), ms in vectors.items():  # the rule the memo rests on
-        primes = nilpotence.prime_divisors(n)
-        assert len({nilpotence.zm_index_bracket(n, m, primes) for m in ms}) == 1, (n, ms)
 
 
 def _csv_rows(out):
@@ -627,14 +603,22 @@ def _scan_6x8_patched(capsys, monkeypatch, ring, cell, index):
     return reports
 
 
-def test_scan_zm_index_outside_bracket_exits_one(capsys, monkeypatch):
-    # T(6, 6) is nilpotent over Z_6 with index 2, as over Z_2 and Z_3; 6 is
-    # squarefree, so an oracle index of 3 agrees on the verdict but leaves the
-    # bracket [max k_p, max e*k_p] = [2, 2] that Theorem 1 gives at each prime.
-    human, csv = _scan_6x8_patched(capsys, monkeypatch, ("--zm",), (6, 6), lambda k: k + 1)
+@pytest.mark.parametrize("cell, index, line", [
+    # T(6, 6) is nilpotent over Z_6 with index 2, as over Z_2 and Z_3: an oracle
+    # index of 3 agrees on the verdict but leaves the one-point bracket (2, 2)
+    # that every cell with 1 < n | m has.
+    ((6, 6), 3, "6,6,true,multi_prime_divides,3,false"),
+    # T(2, 4) = 2*J is nonzero over Z_4 and T**2 = 0: index 1 leaves (2, 2), although
+    # Theorem 1 at 2 alone brackets it by (k, e*k) = (1, 2).
+    ((2, 4), 1, "2,4,true,same_prime_powers,1,false"),
+    # T(4, 8) = 2*J over Z_8 likewise: index 3 leaves (2, 2), not (1, 3).
+    ((4, 8), 3, "4,8,true,same_prime_powers,3,false"),
+], ids=["n6_m6", "n2_m4", "n4_m8"])
+def test_scan_zm_index_outside_bracket_exits_one(capsys, monkeypatch, cell, index, line):
+    human, csv = _scan_6x8_patched(capsys, monkeypatch, ("--zm",), cell, lambda k: index)
     assert "agreements 41, disagreements 1" in human
-    assert human.splitlines()[-1] == "DISAGREE at n=6 m=6"
-    assert "6,6,true,multi_prime_divides,3,false" in csv.splitlines()
+    assert human.splitlines()[-1] == "DISAGREE at n=%d m=%d" % cell
+    assert line in csv.splitlines()
 
 
 @pytest.mark.parametrize("cell, index, line", [

@@ -72,6 +72,14 @@ def test_validate_reduces_c():
     assert validate(2, 3, 1, 2, c=-1).c == 3
 
 
+def test_validate_builds_one_instance_and_checks_it_once(spy):
+    # The instance reduces c itself, so validate need not build a second one.
+    checks = spy(Lemma1Instance, "__post_init__")
+    assert validate(2, 3, 1, 2, c=7).c == 3
+    assert len(checks) == 1
+    assert Lemma1Instance(2, 3, 1, 2, -1).c == 3
+
+
 def test_closed_form_examples():
     assert count_closed_form(validate(2, 3, 1, 2)) == 9
     assert count_closed_form(validate(2, 3, 3, 1)) == 1

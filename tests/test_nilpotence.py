@@ -214,10 +214,18 @@ def _zm_cells(draw):
 @settings(max_examples=300, deadline=None)
 @given(cell=_zm_cells())
 def test_zm_clause_equals_per_prime_route_at_64_bits(cell):
-    # The clause walks the powers of q up to m: checked against Theorem 1 at
-    # each prime of m, which shares no code with it, across the whole domain.
+    # The clause walks the powers of q up to m, and the index bracket tells n | m
+    # from the class of powers of q: both checked against Theorem 1 at each prime
+    # of m (parent_bracket), which shares no code with them, across the whole domain.
     n, m = cell
-    assert decide_zm(n, m).clause is decide_zm_via_primes(n, m).clause
+    per_prime = decide_zm_via_primes(n, m)
+    assert decide_zm(n, m).clause is per_prime.clause
+    bracket = zm_index_bracket(n, m, prime_divisors(n))
+    if not per_prime.nilpotent:
+        assert bracket is None, cell
+    else:
+        (low, high), (parent_low, parent_high) = bracket, parent_bracket(n, m, per_prime)
+        assert parent_low <= low <= high <= parent_high, (cell, bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +358,21 @@ def test_degenerate_below_one_division_step():
 
 
 
-def parent_bracket(n, m):
+def parent_bracket(n, m, verdict=None):
     """[max k_p, max e*k_p] over every prime p of m = prod p**e, k_p Theorem 1's
     index over Z_p, or None if some k_p is: the bracket as it was before it
-    took only the primes of n, kept as the reference that it narrows."""
-    k = {p: decide_zp(n, m, p).index for p, _ in factorize(m)}
-    if None in k.values():
+    took only the primes of n, kept as the reference that it narrows. Each k_p
+    and e is read from verdict, decide_zm_via_primes(n, m) if not given."""
+    per_prime = (verdict or decide_zm_via_primes(n, m)).per_prime
+    if not all(v.nilpotent for v in per_prime):
         return None
-    return max(k.values()), max(e * k[p] for p, e in factorize(m))
+    return max(v.index for v in per_prime), max(v.b * v.index for v in per_prime)
 
 
 def zm_bracket_check(n, m):
     """The Z_m oracle's index of T(n, m), checked against zm_index_bracket, and
-    that bracket against parent_bracket: the same low end and a high end no
-    larger. Returns the index and the low end.
+    that bracket against parent_bracket: inside it, and one point equal to the
+    index where n | m. Returns the index and the low end.
 
     By the CRT the index over Z_m is the largest over the Z_(p**e). Reducing
     mod p is a ring map, so each is at least k_p. T**k_p = 0 mod p means
@@ -377,8 +386,10 @@ def zm_bracket_check(n, m):
         assert bracket is None, (n, m)
         return None, None
     (low, high), (parent_low, parent_high) = bracket, parent_bracket(n, m)
-    assert low == parent_low and high <= parent_high, (n, m, bracket)
+    assert parent_low <= low and high <= parent_high, (n, m, bracket)
     assert low <= found <= high, (n, m, found, low, high)
+    if m % n == 0:
+        assert found == low == high, (n, m, found, bracket)
     if all(e == 1 for _, e in factorize(m)):
         assert found == low, (n, m, found, low)
     return found, low
@@ -403,7 +414,11 @@ def test_zm_index_bracket_is_none_where_some_prime_is_not_nilpotent():
     assert zm_index_bracket(4, 6, (2,)) is None
     assert decide_zp(4, 6, 2).index == 4 and not decide_zp(4, 6, 3).nilpotent
     assert zm_index_bracket(6, 6, (2, 3)) == (2, 2)  # squarefree: one point
-    assert zm_index_bracket(4, 8, (2,)) == (1, 3)  # 8 = 2**3: [k_2, 3*k_2]
+    assert zm_index_bracket(4, 8, (2,)) == (2, 2)  # 4 | 8: T = 2*J, T**2 = 8*J
+    assert parent_bracket(4, 8) == (1, 3)  # 8 = 2**3: [k_2, 3*k_2]
+    assert zm_index_bracket(8, 4, (2,)) == (3, 6)  # 4 = 2**2 below 8: (k_2, 2*k_2)
+    assert zm_index_bracket(9, 3, (3,)) == (5, 5)  # 3 = 3**1: the index over Z_3
+    assert zm_index_bracket(8, 12, (2,)) is None  # 12 is no power of 2
     # 2**3 divides 24 / 3, the coefficient of T(3, 24): T is zero over Z_8.
     assert zm_index_bracket(3, 24, (3,)) == (2, 2) and parent_bracket(3, 24) == (2, 3)
     assert zm_index_bracket(1, 8, ()) == (1, 1)  # T = [8] = 0
@@ -416,7 +431,8 @@ def test_zm_index_bracket_is_none_where_some_prime_is_not_nilpotent():
 def test_zm_index_bracket_only_narrows_up_to_96():
     # Every cell with n, m <= 96: None where T is not nilpotent over Z_m, and
     # elsewhere the oracle's index inside a bracket no wider than the parent's.
-    # Of the 481 nilpotent cells, 219 had a wide bracket and 175 still do.
+    # Of the 481 nilpotent cells, 219 have a wide parent bracket; 13 still have a
+    # wide one, all with n and m powers of one prime and n not dividing m.
     nilpotent = parent_wide = wide = 0
     for m in range(2, 97):
         for n in range(1, 97):
@@ -428,7 +444,7 @@ def test_zm_index_bracket_only_narrows_up_to_96():
             low, high = parent_bracket(n, m)
             nilpotent, parent_wide, wide = (nilpotent + 1, parent_wide + (low < high),
                                             wide + (bracket[0] < bracket[1]))
-    assert (nilpotent, parent_wide, wide) == (481, 219, 175)
+    assert (nilpotent, parent_wide, wide) == (481, 219, 13)
 
 
 @st.composite

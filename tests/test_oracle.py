@@ -254,6 +254,21 @@ def test_zm_geom_sum_index_stays_within_n_under_the_sound_bound():
     assert nilpotent == 392
 
 
+def test_zm_index_bound_stays_within_n_on_the_prime_power_class():
+    # geom_sum_indices's proof of its bound n over Z_m, in exact arithmetic: on
+    # the class n = q**j, m = q**e with e < j, the index is at most e*k with
+    # k = ceil(q**j / (q**e - 1)), and e*k <= q**j, for every such pair below 2**64.
+    pairs = 0
+    for q in (2, 3, 5, 7, 2**31 - 1):
+        j_max = max(j for j in range(1, 64) if q**j < 2**64)
+        for j in range(2, j_max + 1):
+            for e in range(1, j):
+                k = -(-q**j // (q**e - 1))
+                assert e * k <= q**j, (q, j, e)
+                pairs += 1
+    assert pairs == 3316  # j_max * (j_max - 1) / 2 per q, j_max = 63, 40, 27, 22, 2
+
+
 def test_geom_sum_indices_checks_its_arguments_once():
     assert geom_sum_indices(3, range(5, 5), 2) == []
     with pytest.raises(InvalidInput, match="^n must be >= 1"):
