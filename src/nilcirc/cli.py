@@ -94,15 +94,38 @@ def _agree(p, no, n: int, n_split, block: range, vs: dict, found: list) -> dict:
 def _pooled(pool, p, blocks, window: int):
     """(n, n_split, block, verdicts, oracle indices) for each block in order, by one pool
     task per block. At most window blocks are in flight, so memory stays bounded
-    by the window whatever the grid size."""
+    by the window whatever the grid size. A worker that dies (killed, or out of
+    memory) breaks the pool: the scan then stops with ChildProcessError."""
+    from concurrent.futures import BrokenExecutor  # pooled scans only, as in _process_pool
+
     pending = collections.deque()
-    for n, n_split, block, vs in blocks:
-        if len(pending) == window:
-            *piece, future = pending.popleft()
+    try:
+        for n, n_split, block, vs in blocks:
+            if len(pending) == window:
+                *piece, future = pending.popleft()
+                yield *piece, future.result()
+            pending.append((n, n_split, block, vs,
+                            _submit(pool, oracle.geom_sum_indices, n, block, p)))
+        for *piece, future in pending:
             yield *piece, future.result()
-        pending.append((n, n_split, block, vs, pool.submit(oracle.geom_sum_indices, n, block, p)))
-    for *piece, future in pending:
-        yield *piece, future.result()
+    except BrokenExecutor as exc:
+        raise ChildProcessError(f"scan stopped: {exc}") from None
+
+
+def _submit(pool, *task):
+    """pool.submit(*task) with SIGPIPE blocked in this thread for the call. A pool
+    that a dead worker breaks terminates its other workers and closes its end of
+    their call queue, which its feeder thread may still write to: at SIG_DFL (see
+    entry) that write would end the scan by SIGPIPE before the scan reports the
+    broken pool. The pool's threads, which a submit starts, inherit the mask, so
+    the write fails with EPIPE instead, which the pool handles."""
+    if not hasattr(signal, "pthread_sigmask"):  # no SIGPIPE either (Windows)
+        return pool.submit(*task)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGPIPE})
+    try:
+        return pool.submit(*task)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _process_pool(jobs: int):
@@ -439,6 +462,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except BrokenPipeError:  # a closed pipe is SIGPIPE's to end (see entry)
         raise
+    except ChildProcessError as exc:  # a pool worker died (see _pooled): the run is cut short
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:  # a full disk or device, a quota, an I/O error
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,6 +43,7 @@ def test_criterion_2_corollary1_grid():
             per_prime = nilpotence.decide_zm_via_primes(n, m)
             found = oracle.min_nilpotent_index(circring.geom_sum(n, m, m), n)
             assert literal.nilpotent == per_prime.nilpotent == (found is not None), (n, m)
+            assert literal.clause is per_prime.clause, (n, m)
             if found is not None:
                 assert found <= n, (n, m, found)
 
@@ -155,7 +156,7 @@ def test_criterion_6_cli_contract(capsys):
 
     # the pinned verification run
     code, out, _ = run("scan", "--p", "2", "--n-max", "16", "--m-max", "16", "--verify")
-    assert code == 0
+    assert code == 0 and "cells 256" in out and "disagreements 0" in out
 
     # exit-code conformance: 0 success, 2 usage, 3 invalid input
     assert run("decide", "--n", "4", "--m", "6", "--p", "3")[0] == 0

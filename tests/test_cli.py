@@ -3,10 +3,12 @@ import errno
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import random
 import signal
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -364,16 +366,6 @@ def test_scan_zm_equals_decide_zm(capsys):
         v = nilpotence.decide_zm(int(row["n"]), int(row["m"]))
         assert row == {"n": str(v.n), "m": str(v.m), "nilpotent": _csv(v.nilpotent),
                        "clause": v.clause.value, "oracle_index": "", "agree": ""}
-
-
-def test_scan_verify_grid_exits_zero(capsys):
-    code, out, _ = run(
-        capsys, "scan", "--p", "2", "--n-max", "16", "--m-max", "16",
-        "--verify", "--jobs", "1",
-    )
-    assert code == 0
-    assert "cells 256" in out
-    assert "disagreements 0" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -1002,6 +994,61 @@ def test_pool_workers_end_with_their_scan(cli_process):
         if lines and "leaked semaphore objects" in lines[0]:
             del lines[:2]
         assert signum == signal.SIGTERM or lines == [], method
+
+
+# The pooled scan above, whose pool SIGKILLs one of its workers at the eighth
+# task: by then the scan has written rows 1 and 2, two blocks each.
+KILLED_WORKER_SCAN = POOLED_SCAN.replace("cli.entry()", """
+import signal
+pool = cli._process_pool
+def kill_at_eighth_task(jobs):
+    executor, futures = pool(jobs), []
+    def submit(*task):
+        futures.append(executor_submit(*task))
+        if len(futures) == 8:
+            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+        return futures[-1]
+    executor_submit, executor.submit = executor.submit, submit
+    return executor
+cli._process_pool = kill_at_eighth_task
+cli.entry()
+""")
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_killed_pool_worker_is_usage_error(cli_process, method):
+    # A dead worker breaks the pool: one error line and the exit of a failed
+    # write, not a traceback. The rows written before it stay, whole and in order.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    code, out, err = cli_process(method, "scan", "--zm", "--n-max", "60", "--m-max", "1800",
+                                 "--verify", "--format", "csv", "--jobs", "2",
+                                 code=KILLED_WORKER_SCAN).finish(timeout=60)
+    assert code == 2 and err.startswith("error: scan stopped: ") and err.count("\n") == 1, err
+    header, *rows = out.splitlines()
+    assert header == "n,m,nilpotent,clause,oracle_index,agree"
+    cells = [(n, m) for n in range(1, 61) for m in range(2, 1801)]
+    assert 2 * 1799 <= len(rows) < len(cells)
+    assert [tuple(map(int, row.split(",")[:2])) for row in rows] == cells[:len(rows)]
+
+
+def test_broken_pool_is_usage_error(capsys, fake_pool, monkeypatch):
+    # A worker killed mid-scan breaks the pool, and each future not yet taken
+    # raises BrokenProcessPool: here from row 3 on. The scan stops with one line
+    # and exit 2, and keeps the rows written before it.
+    from concurrent.futures.process import BrokenProcessPool
+
+    def broken():
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    submit = fake_pool.submit
+    monkeypatch.setattr(fake_pool, "submit", lambda fn, n, *args: submit(fn, n, *args)
+                        if n < 3 else types.SimpleNamespace(result=broken))
+    grid = ("scan", "--p", "2", "--n-max", "4", "--m-max", "4", "--verify", "--format", "csv")
+    rows = run(capsys, *grid, "--jobs", "1")[1].splitlines(keepends=True)
+    assert run(capsys, *grid, "--jobs", "2") == (
+        2, "".join(rows[:1 + 2 * 4]),
+        "error: scan stopped: A process in the process pool was terminated abruptly\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")

@@ -55,15 +55,6 @@ def test_decide_zp_rejects_bad_input():
         decide_zp(2, 0, 2)
 
 
-def test_decide_zp_index_bound():
-    for p in (2, 3, 5, 7):
-        for n in range(1, 30):
-            for m in range(1, 30):
-                v = decide_zp(n, m, p)
-                if v.nilpotent:
-                    assert 1 <= v.index <= n
-
-
 def test_decide_zp_valuations_recompose():
     for (n, m, p) in [(48, 36, 2), (45, 15, 3), (50, 35, 5)]:
         v = decide_zp(n, m, p)
@@ -84,13 +75,6 @@ def test_zp_json_schema():
 # index formula and expansion
 
 
-def test_index_formula_examples():
-    # ceil(p**a / (p**b - 1)), the index of T(p**a, p**b)
-    assert decide_zp(2**3, 2, 2).index == 8
-    assert decide_zp(1, 3**2, 3).index == 1
-    assert decide_zp(3**2, 3, 3).index == 5
-
-
 def test_index_expansion_examples():
     assert index_expansion(3, 1, 2) == 8
     assert index_expansion(2, 1, 3) == 5
@@ -102,13 +86,6 @@ def test_index_expansion_requires_full_division_step():
         index_expansion(1, 2, 2)
     with pytest.raises(InvalidInput):
         index_expansion(3, 0, 2)
-
-
-def test_expansion_equals_formula():
-    for p in (2, 3, 5, 7):
-        for b in range(1, 5):
-            for a in range(b, 13):
-                assert index_expansion(a, b, p) == decide_zp(p**a, p**b, p).index
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +137,6 @@ def test_n_equals_one_counts_as_zeroth_power():
         assert v.nilpotent and v.clause is ZmClause.SAME_PRIME_POWERS
 
 
-def test_zm_routes_agree_on_grid():
-    for m in range(2, 37):
-        for n in range(1, 37):
-            lit = decide_zm(n, m)
-            per = decide_zm_via_primes(n, m)
-            assert lit.nilpotent == per.nilpotent
-            assert lit.clause is per.clause
-
-
 def test_zm_clause_invariants():
     for m in range(2, 37):
         m_primes = [p for p, _ in factorize(m)]
@@ -213,7 +181,7 @@ def _zm_cells(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(cell=_zm_cells())
-def test_zm_clause_equals_per_prime_route_at_64_bits(cell):
+def test_decide_zm_equals_per_prime_route_at_64_bits(cell):
     # The clause walks the powers of q up to m, and the index bracket tells n | m
     # from the class of powers of q: both checked against Theorem 1 at each prime
     # of m (parent_bracket), which shares no code with them, across the whole domain.
@@ -251,7 +219,7 @@ def _row_blocks(draw):
 def test_decide_keeps_every_nilpotent_cell(p, row_block):
     # The candidate filter, which sees only the split of n, against every cell
     # decided on its own: over Z_m by Theorem 1 at each prime of m, the route
-    # that shares no code with zm_clause.
+    # that shares no code with _row_verdicts.
     n, block = row_block
     split = _split(p)
     if p is None:
@@ -301,7 +269,7 @@ def test_decide_prime_power_rows_at_large_powers(row_block):
 
 
 # ---------------------------------------------------------------------------
-# witness, annihilation, degenerate case
+# witness
 
 
 def test_witness_examples():
@@ -330,81 +298,21 @@ def test_witness_precondition_errors():
         witness_nonvanishing(1, 2, 2)  # a=0 < b=1
 
 
-def test_annihilation_examples():
-    for n, m, p in [(8, 2, 2), (9, 3, 3), (4, 2, 2)]:
-        _, _, _, annihilates = witness_nonvanishing(n, m, p)
-        assert annihilates
-
-
-def test_witness_power_annihilates():
-    for n, m, p in [(8, 2, 2), (9, 3, 3), (8, 4, 2), (27, 6, 3)]:
-        v = decide_zp(n, m, p)
-        assert v.nilpotent
-        t = circring.geom_sum(n, m, p)
-        last = circring.power(t, v.index - 1)
-        assert not circring.is_zero(last)
-        assert circring.is_zero(circring.mul(last, t))
-
-
-def test_degenerate_below_one_division_step():
-    # wherever b > a and the verdict is nilpotent, T itself is zero mod p
-    for p in (2, 3, 5):
-        for n in range(1, 28):
-            for m in range(1, 28):
-                v = decide_zp(n, m, p)
-                if v.nilpotent and v.a < v.b:
-                    assert v.index == 1
-                    assert circring.is_zero(circring.geom_sum(n, m, p))
-
-
-
 def parent_bracket(n, m, verdict=None):
     """[max k_p, max e*k_p] over every prime p of m = prod p**e, k_p Theorem 1's
     index over Z_p, or None if some k_p is: the bracket as it was before it
     took only the primes of n, kept as the reference that it narrows. Each k_p
-    and e is read from verdict, decide_zm_via_primes(n, m) if not given."""
-    per_prime = (verdict or decide_zm_via_primes(n, m)).per_prime
-    if not all(v.nilpotent for v in per_prime):
-        return None
-    return max(v.index for v in per_prime), max(v.b * v.index for v in per_prime)
-
-
-def zm_bracket_check(n, m):
-    """The Z_m oracle's index of T(n, m), checked against zm_index_bracket, and
-    that bracket against parent_bracket: inside it, and one point equal to the
-    index where n | m. Returns the index and the low end.
+    and e is read from verdict, decide_zm_via_primes(n, m) if not given.
 
     By the CRT the index over Z_m is the largest over the Z_(p**e). Reducing
     mod p is a ring map, so each is at least k_p. T**k_p = 0 mod p means
     T**k_p = p*U, so T**(e*k_p) = p**e * U**e = 0 over Z_(p**e). For
     squarefree m the bracket is one point.
     """
-    found = oracle.min_nilpotent_index(circring.geom_sum(n, m, m), n)
-    assert (found is not None) == decide_zm(n, m).nilpotent, (n, m, found)
-    bracket = zm_index_bracket(n, m, prime_divisors(n))
-    if found is None:
-        assert bracket is None, (n, m)
-        return None, None
-    (low, high), (parent_low, parent_high) = bracket, parent_bracket(n, m)
-    assert parent_low <= low and high <= parent_high, (n, m, bracket)
-    assert low <= found <= high, (n, m, found, low, high)
-    if m % n == 0:
-        assert found == low == high, (n, m, found, bracket)
-    if all(e == 1 for _, e in factorize(m)):
-        assert found == low, (n, m, found, low)
-    return found, low
-
-
-def test_zm_oracle_index_lies_in_the_per_prime_bracket():
-    """Every nilpotent cell of criterion 2's grid is in the bracket."""
-    above = nilpotent = 0
-    for m in range(2, 37):
-        for n in range(1, 37):
-            found, low = zm_bracket_check(n, m)
-            if found is not None:
-                nilpotent += 1
-                above += found > low
-    assert nilpotent > 100 and above > 0
+    per_prime = (verdict or decide_zm_via_primes(n, m)).per_prime
+    if not all(v.nilpotent for v in per_prime):
+        return None
+    return max(v.index for v in per_prime), max(v.b * v.index for v in per_prime)
 
 
 def test_zm_index_bracket_is_none_where_some_prime_is_not_nilpotent():
@@ -429,33 +337,27 @@ def test_zm_index_bracket_is_none_where_some_prime_is_not_nilpotent():
 
 
 def test_zm_index_bracket_only_narrows_up_to_96():
-    # Every cell with n, m <= 96: None where T is not nilpotent over Z_m, and
-    # elsewhere the oracle's index inside a bracket no wider than the parent's.
+    # Every cell with n, m <= 96: the oracle finds an index exactly where both
+    # routes say nilpotent, and the bracket is None elsewhere. The index lies in
+    # a bracket no wider than the parent's: at its one point where n | m, at its
+    # low end where m is squarefree, and above the low end on some cell.
     # Of the 481 nilpotent cells, 219 have a wide parent bracket; 13 still have a
     # wide one, all with n and m powers of one prime and n not dividing m.
-    nilpotent = parent_wide = wide = 0
-    for m in range(2, 97):
-        for n in range(1, 97):
+    nilpotent = parent_wide = wide = above = 0
+    for n in range(1, 97):
+        for m, found in zip(range(2, 97), oracle.geom_sum_indices(n, range(2, 97))):
             bracket = zm_index_bracket(n, m, prime_divisors(n))
-            if not decide_zm_via_primes(n, m).nilpotent:
+            verdicts = decide_zm(n, m).nilpotent, decide_zm_via_primes(n, m).nilpotent
+            assert verdicts == ((found is not None),) * 2, (n, m, found)
+            if found is None:
                 assert bracket is None, (n, m)
                 continue
-            zm_bracket_check(n, m)
-            low, high = parent_bracket(n, m)
-            nilpotent, parent_wide, wide = (nilpotent + 1, parent_wide + (low < high),
-                                            wide + (bracket[0] < bracket[1]))
-    assert (nilpotent, parent_wide, wide) == (481, 219, 13)
-
-
-@st.composite
-def zm_cells(draw, top=96):
-    """(n, m) with n <= top, 2 <= m <= top; mostly a nilpotent cell of the row m."""
-    m = draw(st.integers(2, top))
-    nilpotent = [n for n in range(1, top + 1) if decide_zm(n, m).nilpotent]
-    return draw(st.sampled_from(nilpotent) | st.integers(1, top)), m
-
-
-@given(zm_cells())
-@settings(max_examples=200, deadline=None)
-def test_zm_oracle_index_bracket_up_to_96(cell):
-    zm_bracket_check(*cell)
+            (low, high), (parent_low, parent_high) = bracket, parent_bracket(n, m)
+            assert parent_low <= low <= found <= high <= parent_high, (n, m, found, bracket)
+            if m % n == 0:
+                assert found == low == high, (n, m, found, bracket)
+            if all(e == 1 for _, e in factorize(m)):
+                assert found == low, (n, m, found, low)
+            nilpotent, parent_wide = nilpotent + 1, parent_wide + (parent_low < parent_high)
+            wide, above = wide + (low < high), above + (found > low)
+    assert (nilpotent, parent_wide, wide) == (481, 219, 13) and above > 0
