@@ -9,31 +9,34 @@ canonical in [0, q).
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import sys
 from array import array
-from dataclasses import dataclass
 
 from .errors import InvalidInput, ShapeMismatch
 from .numutil import _check_int
 
 
-@dataclass(frozen=True)
-class CirculantElem:
-    order: int
-    modulus: int
-    coeffs: tuple[int, ...]
+class CirculantElem(collections.namedtuple("CirculantElem", "order modulus coeffs")):
+    """An immutable named tuple (order, modulus, coeffs), checked however it is built."""
 
-    def __post_init__(self):
-        _check_int("order", self.order, 1)
-        _check_int("modulus", self.modulus, 2)
-        if len(self.coeffs) != self.order:
-            raise InvalidInput(
-                f"expected {self.order} coefficients, got {len(self.coeffs)}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, order: int, modulus: int, coeffs: tuple[int, ...]):
+        _check_int("order", order, 1)
+        _check_int("modulus", modulus, 2)
+        if len(coeffs) != order:
+            raise InvalidInput(f"expected {order} coefficients, got {len(coeffs)}")
         # min and max need one item at least: order >= 1 and the length equals it.
-        if min(self.coeffs) < 0 or max(self.coeffs) >= self.modulus:
+        if min(coeffs) < 0 or max(coeffs) >= modulus:
             raise InvalidInput("coefficients must be canonical residues in [0, q)")
+        return super().__new__(cls, order, modulus, coeffs)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip __new__'s checks.
+        return cls(*iterable)
 
 
 def _check_match(a: CirculantElem, b: CirculantElem) -> None:

@@ -11,8 +11,8 @@ recurse with one variable fewer).
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import asdict, dataclass
 
 from .errors import CoprimalityViolated, DivisibilityViolated
 from .numutil import _check_int, check_budget, pow_checked
@@ -20,21 +20,15 @@ from .numutil import _check_int, check_budget, pow_checked
 ENUM_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class Lemma1Instance:
-    d: int
-    m_star: int
-    n_star: int
-    qvars: int
-    c: int
+class Lemma1Instance(collections.namedtuple("Lemma1Instance", "d m_star n_star qvars c")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, d: int, m_star: int, n_star: int, qvars: int, c: int):
         """Check the hypotheses, however the instance is built, and reduce c mod n."""
-        d, m_star, n_star = self.d, self.m_star, self.n_star
         _check_int("d", d, 2)
         _check_int("m_star", m_star, 1)
         _check_int("n_star", n_star, 1)
-        _check_int("qvars", self.qvars, 1)
+        _check_int("qvars", qvars, 1)
         if math.gcd(d, m_star) != 1:
             raise CoprimalityViolated(f"gcd(d={d}, m_star={m_star}) != 1")
         if math.gcd(d, n_star) != 1:
@@ -42,8 +36,13 @@ class Lemma1Instance:
         if m_star % n_star != 0:
             raise DivisibilityViolated(f"n_star={n_star} does not divide m_star={m_star}")
         _check_int("m", d * m_star, 2)
-        n = _check_int("n", pow_checked(d, self.qvars) * n_star, 1)
-        object.__setattr__(self, "c", self.c % n)  # frozen
+        n = _check_int("n", pow_checked(d, qvars) * n_star, 1)
+        return super().__new__(cls, d, m_star, n_star, qvars, c % n)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip __new__'s checks.
+        return cls(*iterable)
 
     @property
     def m(self) -> int:
@@ -54,7 +53,7 @@ class Lemma1Instance:
         return self.d**self.qvars * self.n_star
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "m": self.m, "n": self.n}
+        return {**self._asdict(), "m": self.m, "n": self.n}
 
 
 def validate(d: int, m_star: int, n_star: int, qvars: int, c: int = 0) -> Lemma1Instance:

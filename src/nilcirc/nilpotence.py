@@ -12,9 +12,8 @@ n | m, and bracketed by Theorem 1 on the one other nilpotent class.
 
 from __future__ import annotations
 
+import collections
 import enum
-from dataclasses import asdict, dataclass
-from typing import Optional
 
 from . import circring
 from .circring import CirculantElem
@@ -45,33 +44,23 @@ class ZmClause(enum.Enum):
     __hash__ = object.__hash__  # members are singletons; Enum's hash of the name is a Python call
 
 
-@dataclass(frozen=True)
-class ZpVerdict:
-    n: int
-    m: int
-    p: int
-    a: int
-    b: int
-    n_star: int
-    m_star: int
-    nilpotent: bool
-    index: Optional[int] = None
+class ZpVerdict(collections.namedtuple(
+        "ZpVerdict", "n m p a b n_star m_star nilpotent index", defaults=(None,))):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         # The fields are the documented JSON keys, in their documented order.
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ZmVerdict:
-    n: int
-    m: int
-    nilpotent: bool
-    clause: ZmClause
-    per_prime: tuple[ZpVerdict, ...] = ()
+class ZmVerdict(collections.namedtuple(
+        "ZmVerdict", "n m nilpotent clause per_prime", defaults=((),))):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "clause": self.clause.value}
+        # _asdict does not recurse, and json would write a named tuple as a list.
+        return {**self._asdict(), "clause": self.clause.value,
+                "per_prime": [v.to_json_dict() for v in self.per_prime]}
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +81,7 @@ def index_expansion(a: int, b: int, p: int) -> int:
     return pow_checked(p, rdiv) * geo + 1
 
 
-def zp_index(a: int, n_star: int, b: int, m_star: int, p: int) -> Optional[int]:
+def zp_index(a: int, n_star: int, b: int, m_star: int, p: int) -> int | None:
     """Theorem 1 on the splits n = p**a * n_star and m = p**b * m_star.
 
     The index of T over Z_p, or None when T is not nilpotent. The divisibility
@@ -172,7 +161,7 @@ def _row_verdicts(p, n: int, n_split, block: range) -> dict:
     return vs
 
 
-def zm_index_bracket(n: int, m: int, n_primes: tuple[int, ...]) -> Optional[tuple[int, int]]:
+def zm_index_bracket(n: int, m: int, n_primes: tuple[int, ...]) -> tuple[int, int] | None:
     """The index of T(n, m) over Z_m as a bracket (low, high), from n_primes, the
     primes of n: (1, 1) at n = 1 and (2, 2) where 1 < n and n | m, both exact;
     (k, e*k) where n = q**j and m = q**e with e < j, k = ceil(n / (m - 1)) the

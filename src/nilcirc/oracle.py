@@ -12,20 +12,18 @@ the ring primitives themselves.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import circring
 from .circring import CirculantElem
 from .numutil import _check_int, _check_prime
 
 
-def min_nilpotent_index(a: CirculantElem, bound: int) -> Optional[int]:
+def min_nilpotent_index(a: CirculantElem, bound: int) -> int | None:
     """Smallest k in [1, bound] with a**k = 0, by iterated multiplication."""
     _check_int("bound", bound, 1)
     return circring._first_zero_power(a, bound)
 
 
-def geom_sum_indices(n: int, ms: range, q: Optional[int] = None) -> list[Optional[int]]:
+def geom_sum_indices(n: int, ms: range, q: int | None = None) -> list[int | None]:
     """[min_nilpotent_index(geom_sum(n, m, q), n) for m in ms]; q None is Z_m, q = m.
 
     Each distinct T of a ring takes the ceil(log2 n) squarings of T**(2**k),

@@ -5,7 +5,6 @@ criterion (see conftest.py). Expected total runtime is well under the stated
 budgets on commodity hardware.
 """
 
-import dataclasses
 import json
 import math
 import random
@@ -66,7 +65,7 @@ def test_criterion_3_lemma1_triple_agreement():
                     hist = congruence.counts_by_target(inst)
                     assert set(hist) == {closed}, inst  # enumeration, c-independent
                     for c in range(inst.n):
-                        rec = congruence.count_recursive(dataclasses.replace(inst, c=c))
+                        rec = congruence.count_recursive(inst._replace(c=c))
                         assert rec == closed, (inst, c)
                     assert sum(hist) == inst.m**qvars
                     instances += 1

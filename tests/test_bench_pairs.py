@@ -1,7 +1,7 @@
 """The paired-run recorder behind the committed BENCH_*.json files.
 
 Nothing here launches a benchmark run: bench() is replaced by a stub that fails
-the test if it is ever called.
+the test if it is ever called, or by one that records its calls.
 """
 
 import importlib.util
@@ -123,3 +123,33 @@ def test_tree_with_bytecode_cache_is_refused_before_any_run(tmp_path, monkeypatc
     assert not (tmp_path / "out.json").exists()
     cache.rmdir()
     assert bench_pairs.bytecode_caches(trees[side]) == []
+
+
+def test_runs_last_the_declared_run_seconds(tmp_path, monkeypatch):
+    trees = {name: tmp_path / name for name in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "src" / "nilcirc").mkdir(parents=True)
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 30,
+        "workloads": [{"name": "closed_scan"}],
+        "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}],
+        "per_layer": [{"name": "cli.main.calls", "unit": "count", "better": "lower"}],
+    }))
+    calls = []
+
+    def record(tree, workload, seed, seconds, trace):
+        calls.append((seconds, trace))
+        return {"correct": True, "attempted": 1, "failed": 0, "failed_frac": {"value": 0},
+                "metrics": {"setup_s": {"value": 0.07}, "cli.main.calls": {"value": 3}},
+                "extra": {}, "stamp": {"loadavg_1m_start": 0.5, "loadavg_1m_end": 0.5,
+                                       "overloaded": False, "cpu_count": 2, "python": "3"}}
+
+    monkeypatch.setattr(bench_pairs, "bench", record)
+    out = tmp_path / "out.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", str(trees["parent"]), str(trees["change"]), "--out", str(out),
+        "--what", "x", "--trace-workload", "closed_scan", "--pairs", "2",
+    ])
+    assert bench_pairs.main() == 0
+    assert calls == [(30, 0)] * 4 + [(bench_pairs.TRACE_SECONDS, 1)] * 2
+    assert "--seconds 30 --trace 0" in json.loads(out.read_text())["command"]

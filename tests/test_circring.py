@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,28 @@ def test_element_validation():
         CirculantElem(2, 5, (5, 0))
     with pytest.raises(InvalidInput):
         CirculantElem(2, 5, (-1, 0))
+
+
+def test_every_construction_path_checks_the_element():
+    # _make, _replace, copy and pickle go through the same checks as the constructor.
+    e = CirculantElem(3, 5, (1, 0, 4))
+    assert repr(e) == "CirculantElem(order=3, modulus=5, coeffs=(1, 0, 4))"
+    assert e == CirculantElem(3, 5, (1, 0, 4)) != CirculantElem(3, 5, (1, 0, 3))
+    assert hash(e) == hash((3, 5, (1, 0, 4)))  # a frozen dataclass hashed its field tuple
+    assert copy.copy(e) == pickle.loads(pickle.dumps(e)) == e
+    assert CirculantElem._make((3, 5, (0, 0, 1))) == e._replace(coeffs=(0, 0, 1))
+    for coeffs in ((1, 0, 5), (1, 0, -1), (1, 0)):
+        with pytest.raises(InvalidInput):
+            CirculantElem._make((3, 5, coeffs))
+        with pytest.raises(InvalidInput):
+            e._replace(coeffs=coeffs)
+    with pytest.raises(InvalidInput):
+        e._replace(modulus=4)
+    unchecked = tuple.__new__(CirculantElem, (3, 5, (1, 0, 5)))
+    with pytest.raises(InvalidInput):
+        copy.copy(unchecked)
+    with pytest.raises(InvalidInput):
+        pickle.loads(pickle.dumps(unchecked))
 
 
 def test_geom_sum_counts_residue_classes():

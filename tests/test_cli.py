@@ -456,9 +456,17 @@ def test_scan_closed_form_never_starts_pool(capsys, fake_pool):
 
 def test_import_leaves_process_pool_unloaded(cli_process):
     # Only a pooled scan imports concurrent.futures (and with it multiprocessing).
-    code = ("import sys, nilcirc.cli; nilcirc.cli.build_parser(); print(sorted("
-            "m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
-    assert cli_process(code=code).finish()[:2] == (0, "[]\n")
+    # The records are named tuples, so nilcirc adds no dataclasses, inspect or
+    # typing either. Those count only if nilcirc adds them: a site module may
+    # preload typing, and argparse itself may load dataclasses when it formats
+    # (Python 3.14's colour themes are dataclasses), so the baseline is taken
+    # after a throwaway parser has added an argument.
+    code = ("import sys, argparse; argparse.ArgumentParser().add_subparsers()"
+            ".add_parser('x').add_argument('--x'); before = set(sys.modules); "
+            "import nilcirc.cli; nilcirc.cli.build_parser(); added = set(sys.modules) - before; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules),"
+            " sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in added))")
+    assert cli_process(code=code).finish()[:2] == (0, "[] []\n")
 
 
 def test_scan_jobs_capped_at_cpus_and_cells(capsys, fake_pool):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -73,10 +75,30 @@ def test_validate_reduces_c():
 
 def test_validate_builds_one_instance_and_checks_it_once(spy):
     # The instance reduces c itself, so validate need not build a second one.
-    checks = spy(Lemma1Instance, "__post_init__")
+    checks = spy(Lemma1Instance, "__new__")
     assert validate(2, 3, 1, 2, c=7).c == 3
     assert len(checks) == 1
     assert Lemma1Instance(2, 3, 1, 2, -1).c == 3
+
+
+def test_every_construction_path_checks_the_instance():
+    # _make, _replace, copy and pickle go through the checks and the reduction of c.
+    inst = validate(2, 3, 1, 2, c=7)
+    assert repr(inst) == "Lemma1Instance(d=2, m_star=3, n_star=1, qvars=2, c=3)"
+    assert inst == Lemma1Instance(2, 3, 1, 2, 3) != validate(2, 3, 1, 2, c=2)
+    assert hash(inst) == hash((2, 3, 1, 2, 3))  # a frozen dataclass hashed its field tuple
+    assert inst._replace(c=-1).c == 3  # n = 4
+    assert Lemma1Instance._make((2, 3, 1, 2, 9)).c == 1
+    assert copy.copy(inst) == pickle.loads(pickle.dumps(inst)) == inst
+    with pytest.raises(CoprimalityViolated):
+        inst._replace(m_star=6)  # gcd(d, m_star) = 2
+    with pytest.raises(DivisibilityViolated):
+        Lemma1Instance._make((2, 3, 5, 2, 0))
+    unchecked = tuple.__new__(Lemma1Instance, (2, 4, 1, 2, 0))
+    with pytest.raises(CoprimalityViolated):
+        copy.copy(unchecked)
+    with pytest.raises(CoprimalityViolated):
+        pickle.loads(pickle.dumps(unchecked))
 
 
 def test_closed_form_examples():

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 
 import pytest
@@ -41,9 +40,25 @@ def test_decide_zp_examples():
 def test_decide_zp_verdict_fields():
     # the fields are exactly the documented JSON keys, in order
     v = decide_zp(8, 2, 2)
-    assert [f.name for f in dataclasses.fields(v)] == list(v.to_json_dict())
+    assert list(v._fields) == list(v.to_json_dict())
     v = decide_zp(4, 6, 3)
     assert v.index is None
+
+
+def test_verdicts_keep_repr_eq_and_hash():
+    # The repr, equality and hash the verdicts had as frozen dataclasses.
+    v = decide_zm_via_primes(12, 6)
+    two, three = v.per_prime
+    assert repr(v) == (
+        "ZmVerdict(n=12, m=6, nilpotent=False, clause=<ZmClause.NOT_NILPOTENT: 'not_nilpotent'>,"
+        " per_prime=(ZpVerdict(n=12, m=6, p=2, a=2, b=1, n_star=3, m_star=3, nilpotent=True,"
+        " index=4), ZpVerdict(n=12, m=6, p=3, a=1, b=1, n_star=4, m_star=2, nilpotent=False,"
+        " index=None)))")
+    assert v == decide_zm_via_primes(12, 6) != decide_zm(12, 6)
+    assert two == decide_zp(12, 6, 2) != three
+    # a frozen dataclass hashes the tuple of its fields
+    assert hash(v) == hash((12, 6, False, ZmClause.NOT_NILPOTENT, (two, three)))
+    assert hash(two) == hash((12, 6, 2, 2, 1, 3, 3, True, 4))
 
 
 def test_decide_zp_rejects_bad_input():

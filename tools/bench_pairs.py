@@ -9,12 +9,13 @@ src/ (make them with `git archive REV | tar -x -C DIR`, so that neither holds a
 bytecode cache or uncommitted files; a tree with a __pycache__ under src/ or
 bench/ is refused before any run). For every workload in CHANGE's
 BENCHMARK.json the script runs --pairs alternating pairs of
-`python3 bench/run.py --seconds 10 --trace 0`, one per seed from --first-seed
-on: odd pairs run the parent first, even pairs the change first. Each side then
-runs once with --trace 1 --seconds 0 on --trace-workload at --first-seed, which
-is one traced unit (bench/run.py runs max(1, seconds // 15) of them); of that
-run only the counts are kept (see trace_counts). The end-to-end metrics, their
-directions and bounds come from the same file.
+`python3 bench/run.py --seconds S --trace 0`, S being that file's run_seconds,
+one per seed from --first-seed on: odd pairs run the parent first, even pairs
+the change first. Each side then runs once with --trace 1 --seconds 0 on
+--trace-workload at --first-seed, which is one traced unit (bench/run.py runs
+max(1, seconds // 15) of them); of that run only the counts are kept (see
+trace_counts). The end-to-end metrics, their directions and bounds come from
+the same file too.
 
 Only the standard library is used, and nothing is run in parallel: the runs
 share the machine with nothing but each other.
@@ -31,7 +32,6 @@ import sys
 from pathlib import Path
 
 QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
-RUN_SECONDS = 10  # of every --trace 0 run, on both sides
 TRACE_SECONDS = 0  # of the --trace 1 run: bench/run.py runs at least one unit
 
 
@@ -133,12 +133,13 @@ def main() -> int:
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     end_to_end = {m["name"]: m for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]]
+    run_seconds = declared["run_seconds"]  # of every --trace 0 run, on both sides
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
 
     result = {
         "what": args.what,
-        "command": (f"python3 bench/run.py --workload W --seed S --seconds {RUN_SECONDS}"
+        "command": (f"python3 bench/run.py --workload W --seed S --seconds {run_seconds}"
                     " --trace 0, in each tree"),
         "pairing": ("pair i runs seed i on both sides; odd pairs run the parent first,"
                     " even pairs the change first"),
@@ -156,7 +157,7 @@ def main() -> int:
         for i, seed in enumerate(seeds, 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             for side in order:
-                report = bench(trees[side], workload, seed, RUN_SECONDS, 0)
+                report = bench(trees[side], workload, seed, run_seconds, 0)
                 runs.append(run_row(side, seed, order[0], report))
         of = {side: [r for r in runs if r["side"] == side] for side in trees}
         result["workloads"][workload] = {
